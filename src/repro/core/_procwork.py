@@ -1,17 +1,18 @@
 """Worker-process entry points for the shared-memory process executor.
 
 Everything here must be picklable by reference (module-level functions,
-plain-tuple tasks), because :class:`~repro.core.executors.SharedMemoryProcessExecutor`
-ships work to its pool via ``multiprocessing``.  Bulk bytes travel
-through named shared memory; only the small task descriptions and the
-(compressed) results cross the pipe.
+tasks built from plain values and plan jobs), because
+:class:`~repro.core.executors.SharedMemoryProcessExecutor` ships work to
+its pool via ``multiprocessing``.  Bulk bytes travel through named
+shared memory; only the small task descriptions and the (compressed)
+results cross the pipe.
 
 Error contract: a failing chunk is reported as ``(index, type_name,
-message)``.  The parent rebuilds the exception class from
-:mod:`repro.errors` by name (:func:`rebuild_error`), and the messages are
-produced by the same :func:`decode_chunk_guarded` helper the in-process
-engine uses for its batched fallback — so a corrupt chunk raises the
-byte-identical error under every executor policy.
+message)``.  :func:`decode_block` is the engine's one block decoder —
+in-process executor jobs and :func:`proc_decode_block` both run it — so
+a corrupt chunk yields the byte-identical triple under every executor
+policy; the parent rebuilds the exception class from :mod:`repro.errors`
+by name (:func:`rebuild_error`).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import struct
 from multiprocessing import shared_memory
 
 from repro import errors as _errors
+from repro.core import container
 from repro.errors import ChecksumError, CorruptDataError, ReproError
 
 
@@ -50,8 +52,10 @@ def _attach(name: str) -> shared_memory.SharedMemory:
     finally:
         resource_tracker.register = original_register
 
-#: Foreign exception types a stage may leak on garbage input (mirrors
-#: the engine's list; kept here so worker processes need not import it).
+#: Foreign exception types a stage may leak on garbage input; translated
+#: to :class:`CorruptDataError` at the chunk/global-stage boundary.
+#: MemoryError is deliberately absent — allocations are prevented by the
+#: bounds checks, never papered over after the fact.
 FOREIGN_ERRORS = (ValueError, TypeError, IndexError, KeyError, OverflowError,
                   ZeroDivisionError, struct.error)
 
@@ -68,25 +72,30 @@ def rebuild_error(type_name: str, message: str) -> ReproError:
     return cls(message)
 
 
-def decode_chunk_guarded(
-    pipeline, i: int, payload, length: int, offset: int, end: int, crc
-) -> bytes:
-    """Decode one chunk with the engine's serial error semantics.
-
-    Verifies the optional payload CRC, translates foreign exceptions to
-    :class:`CorruptDataError`, and prefixes every failure with the chunk
-    index and container byte range — the exact strings
-    ``decompress_bytes`` produces on its serial path.
-    """
-    from repro.core.container import checksum_of
-
-    if crc is not None and checksum_of(payload) != crc:
+def verify_chunk_crc(i: int, payload, crc, offset: int, end: int) -> None:
+    """Raise :class:`ChecksumError` when chunk ``i`` fails its stored CRC
+    (``crc`` is ``None`` for containers without chunk CRCs)."""
+    if crc is not None and container.checksum_of(payload) != crc:
         raise ChecksumError(
             f"chunk {i} (container bytes {offset}..{end}): "
             f"payload CRC32 mismatch"
         )
+
+
+def decode_chunk_guarded(
+    pipeline, i: int, payload, length: int, offset: int, end: int, crc,
+    events=None,
+) -> bytes:
+    """Decode one chunk with the engine's strict error semantics.
+
+    Verifies the optional payload CRC, translates foreign exceptions to
+    :class:`CorruptDataError`, and prefixes every failure with the chunk
+    index and container byte range — ``chunk i (container bytes a..b):``
+    — so every decode path reports the same string.
+    """
+    verify_chunk_crc(i, payload, crc, offset, end)
     try:
-        return pipeline.decode_chunk(payload, length)
+        return pipeline.decode_chunk(payload, length, events)
     except ReproError as exc:
         raise type(exc)(
             f"chunk {i} (container bytes {offset}..{end}): {exc}"
@@ -96,6 +105,52 @@ def decode_chunk_guarded(
             f"chunk {i} (container bytes {offset}..{end}): "
             f"undecodable payload ({type(exc).__name__}: {exc})"
         ) from exc
+
+
+def block_crcs(chunk_crcs, jobs) -> list:
+    """Stored payload CRC of each job's chunk (``None`` entries when the
+    container carries no chunk CRCs)."""
+    if chunk_crcs is None:
+        return [None] * len(jobs)
+    return [chunk_crcs[job.index] for job in jobs]
+
+
+def decode_block(
+    pipeline, jobs, payloads, lengths, crcs, batch: bool, events=None
+) -> tuple[list, list]:
+    """Decode one contiguous block of chunks: the engine's block decoder.
+
+    ``jobs`` are the block's :class:`~repro.core.plan.ChunkJob` entries
+    (global chunk index plus container byte window), ``payloads`` their
+    payload bytes, ``lengths`` their decoded lengths and ``crcs`` their
+    stored CRCs.  With ``batch`` and at least two chunks, the block first runs
+    as one CRC-verified ``decode_chunk_batch`` pass; any exception there
+    re-runs it chunk by chunk through :func:`decode_chunk_guarded`, which
+    attributes each failure exactly as a serial decode would.
+
+    Returns ``(chunks, errors)``: the decoded chunks (``None`` where one
+    failed) and an ``(index, type_name, message)`` triple per failed
+    chunk, in ascending index order.
+    """
+    if batch and len(jobs) >= 2:
+        try:
+            for job, payload, crc in zip(jobs, payloads, crcs):
+                verify_chunk_crc(job.index, payload, crc, job.offset, job.end)
+            return pipeline.decode_chunk_batch(payloads, lengths, events), []
+        except Exception:
+            pass  # the per-chunk sweep below attributes every failure
+    chunks: list = []
+    errors: list[tuple[int, str, str]] = []
+    for job, payload, length, crc in zip(jobs, payloads, lengths, crcs):
+        try:
+            chunks.append(decode_chunk_guarded(
+                pipeline, job.index, payload, length, job.offset, job.end,
+                crc, events,
+            ))
+        except ReproError as exc:
+            chunks.append(None)
+            errors.append((job.index, type(exc).__name__, str(exc)))
+    return chunks, errors
 
 
 def proc_encode_block(task) -> tuple[list, list]:
@@ -133,57 +188,29 @@ def proc_encode_block(task) -> tuple[list, list]:
 
 
 def proc_decode_block(task) -> list:
-    """Decode one contiguous block of chunks inside a worker process.
+    """Run :func:`decode_block` on one block inside a worker process.
 
-    ``task`` is ``(in_name, out_name, codec_name, batch, jobs,
-    fcm_restart)`` with ``jobs`` a list of ``(index, offset, end,
-    out_offset, out_length, crc)``.  The index is the container's global
-    chunk index (subset/range plans pass it through for attribution);
-    decoded chunks land in the output shared memory at their plan-
-    relative prefix-sum offsets.  Returns the error triples (empty on
-    success).
+    ``task`` is ``(in_name, out_name, codec_name, fcm_restart, batch,
+    jobs, out_offsets, lengths, crcs)``.  Jobs keep the container's
+    global chunk index (subset/range plans pass it through for
+    attribution); decoded chunks land in the output shared memory at
+    their plan-relative prefix-sum offsets.  Returns the error triples
+    (empty on success).
     """
-    in_name, out_name, codec_name, batch, jobs, fcm_restart = task
+    (in_name, out_name, codec_name, fcm_restart, batch, jobs, out_offsets,
+     lengths, crcs) = task
     from repro.core.codecs import get_codec
 
     in_shm = _attach(in_name)
     try:
-        payloads = [bytes(in_shm.buf[offset:end]) for _, offset, end, _, _, _ in jobs]
+        payloads = [bytes(in_shm.buf[job.offset : job.end]) for job in jobs]
     finally:
         in_shm.close()
     pipeline = get_codec(codec_name).make_pipeline(fcm_restart)
-    lengths = [length for _, _, _, _, length, _ in jobs]
-    chunks: list | None = None
-    if batch and len(jobs) >= 2:
-        try:
-            for (i, offset, end, _, _, crc), payload in zip(jobs, payloads):
-                if crc is not None:
-                    from repro.core.container import checksum_of
-
-                    if checksum_of(payload) != crc:
-                        raise ChecksumError(
-                            f"chunk {i} (container bytes {offset}..{end}): "
-                            f"payload CRC32 mismatch"
-                        )
-            chunks = pipeline.decode_chunk_batch(payloads, lengths)
-        except Exception:
-            chunks = None  # serial sweep below reproduces exact errors
-    errors: list[tuple[int, str, str]] = []
-    if chunks is None:
-        chunks = []
-        for (i, offset, end, _, length, crc), payload in zip(jobs, payloads):
-            try:
-                chunks.append(
-                    decode_chunk_guarded(
-                        pipeline, i, payload, length, offset, end, crc
-                    )
-                )
-            except Exception as exc:
-                chunks.append(None)
-                errors.append((i, type(exc).__name__, str(exc)))
+    chunks, errors = decode_block(pipeline, jobs, payloads, lengths, crcs, batch)
     out_shm = _attach(out_name)
     try:
-        for (_, _, _, out_offset, length, _), chunk in zip(jobs, chunks):
+        for out_offset, length, chunk in zip(out_offsets, lengths, chunks):
             if chunk is not None:
                 out_shm.buf[out_offset : out_offset + length] = chunk
     finally:

@@ -57,25 +57,28 @@ compressed container failed to beat it.
 
 from __future__ import annotations
 
-import struct
 import time
+from contextlib import contextmanager
 
 from repro.core import container as fmt
-from repro.core._procwork import decode_chunk_guarded
+from repro.core._procwork import (
+    FOREIGN_ERRORS,
+    block_crcs,
+    decode_block,
+    rebuild_error,
+)
 from repro.core.chunking import CHUNK_RAW, CHUNK_SIZE
 from repro.core.codecs import Codec, codec_by_id
-from repro.core.executors import Executor, resolve_executor, static_block_bounds
+from repro.core.executors import (
+    Executor,
+    block_ranges,
+    resolve_executor,
+    split_ranges,
+)
 from repro.core.plan import EncodePlan, plan_decode, plan_encode, plan_for_range
 from repro.core.salvage import ChunkFailure, SalvageReport, merge_ranges
 from repro.core.trace import BatchTrace, ChunkTrace, StageEvent, TraceCollector
 from repro.errors import BoundsError, ChecksumError, CorruptDataError, ReproError
-
-#: Foreign exception types a stage may leak on garbage input; translated
-#: to :class:`CorruptDataError` at the chunk/global-stage boundary.
-#: MemoryError is deliberately absent — allocations are prevented by the
-#: bounds checks, never papered over after the fact.
-_FOREIGN = (ValueError, TypeError, IndexError, KeyError, OverflowError,
-            ZeroDivisionError, struct.error)
 
 
 def _run_global_stage(
@@ -98,40 +101,20 @@ def _use_batch(batch: bool | None, n_chunks: int) -> bool:
     return batch and n_chunks >= 2
 
 
-def _block_ranges(n_chunks: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous ascending chunk blocks, one batched job per block.
+@contextmanager
+def _resolved_engine(executor: str | Executor | None, workers: int):
+    """Resolve the ``executor=`` argument for one engine call.
 
-    Ascending contiguity is a correctness property, not a convenience:
-    the lowest failing *block* then contains the globally lowest failing
-    *chunk*, preserving the executors' deterministic-error contract.
+    A process pool built here from a policy string belongs to this call
+    and is closed on exit, so its worker processes never leak; a
+    caller-supplied executor is left running.
     """
-    bounds = static_block_bounds(n_chunks, min(workers, n_chunks))
-    return [
-        (int(bounds[b]), int(bounds[b + 1]))
-        for b in range(len(bounds) - 1)
-        if bounds[b] < bounds[b + 1]
-    ]
-
-
-def _split_blocks_by_codec(blocks, plan, info) -> list[tuple[int, int]]:
-    """Split chunk blocks so each is codec-homogeneous (v4 containers).
-
-    The batched kernels run one pipeline per block, so a block must not
-    straddle a codec change in the per-chunk table.  Ascending contiguity
-    is preserved, keeping the deterministic-error contract.
-    """
-    if info.chunk_codecs is None:
-        return blocks
-    out = []
-    for lo, hi in blocks:
-        s = lo
-        for i in range(lo + 1, hi):
-            if (info.chunk_codecs[plan.jobs[i].index]
-                    != info.chunk_codecs[plan.jobs[s].index]):
-                out.append((s, i))
-                s = i
-        out.append((s, hi))
-    return out
+    engine = resolve_executor(executor, workers)
+    try:
+        yield engine
+    finally:
+        if engine is not executor and getattr(engine, "kind", None) == "process":
+            engine.close()
 
 
 def _member_pipeline(member: Codec):
@@ -232,7 +215,7 @@ def _encode_batched_blocks(
     exception inside the batched pass drops the block back to the
     per-chunk loop, so failures keep serial semantics.
     """
-    blocks = _block_ranges(plan.n_chunks, engine.workers)
+    blocks = block_ranges(plan.n_chunks, engine.workers)
 
     def make_worker(worker_id: int):
         pipeline = codec.make_pipeline(fcm_restart)
@@ -433,51 +416,40 @@ def compress_bytes(
             codec.dtype.itemsize, fmt.DTYPE_BYTES
         )
     crc = fmt.checksum_of(data) if checksum else None
-    engine = resolve_executor(executor, workers)
-    if trace is not None:
-        trace.annotate(policy=engine.policy, workers=engine.workers,
-                       direction="compress")
-    if codec.selector:
-        try:
+    with _resolved_engine(executor, workers) as engine:
+        if trace is not None:
+            trace.annotate(policy=engine.policy, workers=engine.workers,
+                           direction="compress")
+        if codec.selector:
             return _compress_selector(
                 data, codec, chunk_size=chunk_size, dtype_code=dtype_code,
                 shape=shape, crc=crc, chunk_checksums=chunk_checksums,
                 engine=engine, trace=trace, batch=batch, selector=selector,
             )
-        finally:
-            if (getattr(engine, "kind", None) == "process"
-                    and engine is not executor):
-                engine.close()
-    restart = fcm == "restart" and codec.global_stage_factory is not None
-    global_stage = None if restart else codec.make_global_stage()
-    if global_stage is not None:
-        intermediate = _run_global_stage(global_stage, "encode", data, trace)
-    else:
-        intermediate = data
-    plan = plan_encode(len(intermediate), chunk_size)
-    view = memoryview(intermediate)
-    batched = _use_batch(batch, plan.n_chunks)
-    if getattr(engine, "kind", None) == "process":
-        # GIL-free path: ship the intermediate buffer through shared
-        # memory; per-chunk trace records are not collected across the
-        # process boundary (the annotate() metadata still is).
-        try:
+        restart = fcm == "restart" and codec.global_stage_factory is not None
+        global_stage = None if restart else codec.make_global_stage()
+        if global_stage is not None:
+            intermediate = _run_global_stage(global_stage, "encode", data, trace)
+        else:
+            intermediate = data
+        plan = plan_encode(len(intermediate), chunk_size)
+        view = memoryview(intermediate)
+        batched = _use_batch(batch, plan.n_chunks)
+        if getattr(engine, "kind", None) == "process":
+            # GIL-free path: ship the intermediate buffer through shared
+            # memory; per-chunk trace records are not collected across
+            # the process boundary (the annotate() metadata still is).
             payloads = engine.encode_chunks(
                 intermediate, plan, codec.name, batched, fcm_restart=restart
             )
-        finally:
-            if engine is not executor:
-                # A policy string built this engine, so this call owns
-                # its worker processes; don't leak them.
-                engine.close()
-    elif batched:
-        payloads = _encode_batched_blocks(codec, plan, view, engine, trace,
-                                          restart)
-    else:
-        payloads = engine.run(
-            plan.n_chunks,
-            _make_encode_worker(codec, plan, view, trace, restart),
-        )
+        elif batched:
+            payloads = _encode_batched_blocks(codec, plan, view, engine,
+                                              trace, restart)
+        else:
+            payloads = engine.run(
+                plan.n_chunks,
+                _make_encode_worker(codec, plan, view, trace, restart),
+            )
     blob = fmt.build_container(
         codec_id=codec.codec_id,
         dtype_code=dtype_code,
@@ -543,144 +515,147 @@ def _check_geometry(info: fmt.ContainerInfo, codec: Codec) -> None:
             )
 
 
-def _make_decode_worker(
-    codec: Codec, plan, info, view, out, trace: TraceCollector | None
-):
-    """Per-chunk decode jobs (the non-batched reference path)."""
-
-    def make_worker(worker_id: int):
-        resolve = _pipeline_resolver(codec, info)
-
-        def decode_job(i: int) -> None:
-            job = plan.jobs[i]
-            pipeline = resolve(job.index)
-            payload = view[job.offset : job.end]
-            length = plan.out_lengths[i]
-            # Subset plans keep the global chunk index on the job — error
-            # attribution and CRC lookups must name the container's chunk.
-            _verify_chunk_crc(info, job.index, payload, job)
-            try:
-                if trace is None:
-                    chunk = pipeline.decode_chunk(payload, length)
-                else:
-                    events: list[StageEvent] = []
-                    start = time.perf_counter()
-                    chunk = pipeline.decode_chunk(payload, length, events)
-                    trace.add(ChunkTrace(
-                        index=job.index,
-                        worker=worker_id,
-                        original_len=length,
-                        payload_len=job.length,
-                        raw_fallback=len(payload) > 0 and payload[0] == CHUNK_RAW,
-                        seconds=time.perf_counter() - start,
-                        stages=tuple(events),
-                    ))
-            except ReproError as exc:
-                raise type(exc)(
-                    f"chunk {job.index} (container bytes {job.offset}..{job.end}): {exc}"
-                ) from exc
-            except _FOREIGN as exc:
-                raise CorruptDataError(
-                    f"chunk {job.index} (container bytes {job.offset}..{job.end}): "
-                    f"undecodable payload ({type(exc).__name__}: {exc})"
-                ) from exc
-            offset = plan.out_offsets[i]
-            out[offset : offset + length] = chunk
-
-        return decode_job
-
-    return make_worker
+def _trace_decode_block(
+    trace: TraceCollector, worker_id: int, plan, lo: int, hi: int,
+    payloads, seconds: float, events: list[StageEvent],
+) -> None:
+    """Record one decoded block: a single chunk keeps its stage timings,
+    a batched block gets a :class:`BatchTrace` plus even-split chunks."""
+    batched = hi - lo > 1
+    if batched:
+        trace.add_batch(BatchTrace(
+            worker=worker_id,
+            start=plan.jobs[lo].index,
+            n_chunks=hi - lo,
+            seconds=seconds,
+            stages=tuple(events),
+        ))
+    for i, payload in zip(range(lo, hi), payloads):
+        trace.add(ChunkTrace(
+            index=plan.jobs[i].index,
+            worker=worker_id,
+            original_len=plan.out_lengths[i],
+            payload_len=plan.jobs[i].length,
+            raw_fallback=len(payload) > 0 and payload[0] == CHUNK_RAW,
+            seconds=seconds / (hi - lo),
+            stages=() if batched else tuple(events),
+            batched=batched,
+        ))
 
 
-def _decode_batched_blocks(
+def _decode_plan(
     codec: Codec,
+    info: fmt.ContainerInfo,
     plan,
-    info,
-    view,
-    out,
+    blob,
     engine: Executor,
     trace: TraceCollector | None,
-) -> None:
-    """Decode contiguous chunk blocks through the stages' 2D kernels.
+    batched: bool,
+    salvage: bool,
+) -> tuple[bytes | bytearray, list[tuple[int, str, str]]]:
+    """Decode every chunk of ``plan`` into one buffer — the only decode path.
 
-    Any exception inside a batched pass (corruption, structural mismatch)
-    re-runs that block chunk-by-chunk with the engine's serial error
-    semantics, so a damaged container raises the byte-identical error —
-    same type, message, and chunk attribution — batching would otherwise
-    obscure.
+    Write positions are known a priori (§3.1), so each executor job
+    decodes one contiguous block of chunks (one worker-sized block each
+    when ``batched``, one chunk otherwise) straight into a preallocated
+    buffer at the plan's prefix-sum offsets.  Every block runs
+    :func:`~repro.core._procwork.decode_block`, in-process or inside a
+    process-pool worker, so failures are attributed identically under
+    every policy.
+
+    Returns ``(buffer, errors)`` with failed chunks zero-filled and one
+    ascending ``(index, type_name, message)`` triple each.  Unless
+    ``salvage``, the lowest-index failure is raised instead — the error
+    a serial decode hits first.
     """
-    blocks = _split_blocks_by_codec(
-        _block_ranges(plan.n_chunks, engine.workers), plan, info
-    )
+    if getattr(engine, "kind", None) == "process":
+        out, errors = engine.decode_chunks(
+            blob, plan, codec.name, info.chunk_crcs, batched,
+            fcm_restart=info.fcm_restart,
+            chunk_codecs=_plan_chunk_codecs(info, plan, codec),
+        )
+    else:
+        if batched:
+            blocks = block_ranges(plan.n_chunks, engine.workers)
+        else:
+            blocks = [(i, i + 1) for i in range(plan.n_chunks)]
+        if info.chunk_codecs is not None:
+            # A block runs one pipeline, so it must not straddle a codec
+            # change in the v4 per-chunk table.
+            blocks = split_ranges(
+                blocks, [info.chunk_codecs[job.index] for job in plan.jobs]
+            )
+        view = memoryview(blob)
+        out = bytearray(plan.out_len)
 
-    def make_worker(worker_id: int):
-        resolve = _pipeline_resolver(codec, info)
+        def make_worker(worker_id: int):
+            resolve = _pipeline_resolver(codec, info)
 
-        def decode_block(b: int) -> None:
-            lo, hi = blocks[b]
-            # Blocks are codec-homogeneous by construction, so one
-            # pipeline serves the whole block.
-            pipeline = resolve(plan.jobs[lo].index)
-            payloads = [
-                view[plan.jobs[i].offset : plan.jobs[i].end]
-                for i in range(lo, hi)
-            ]
-            lengths = [plan.out_lengths[i] for i in range(lo, hi)]
-            events: list[StageEvent] = []
-            start = time.perf_counter()
-            try:
-                for i in range(lo, hi):
-                    _verify_chunk_crc(info, plan.jobs[i].index, payloads[i - lo],
-                                      plan.jobs[i])
-                chunks = pipeline.decode_chunk_batch(
-                    payloads, lengths, None if trace is None else events
+            def decode_job(b: int) -> list:
+                lo, hi = blocks[b]
+                jobs = plan.jobs[lo:hi]
+                payloads = [view[job.offset : job.end] for job in jobs]
+                events: list[StageEvent] | None = None if trace is None else []
+                start = time.perf_counter()
+                chunks, errors = decode_block(
+                    resolve(jobs[0].index), jobs, payloads,
+                    plan.out_lengths[lo:hi], block_crcs(info.chunk_crcs, jobs),
+                    batched, events,
                 )
-            except Exception:
-                # Serial re-run: first failure raises the exact error the
-                # serial schedule reports (lowest chunk of the block).
-                for i in range(lo, hi):
-                    job = plan.jobs[i]
-                    chunk = decode_chunk_guarded(
-                        pipeline,
-                        job.index,
-                        payloads[i - lo],
-                        plan.out_lengths[i],
-                        job.offset,
-                        job.end,
-                        None if info.chunk_crcs is None
-                        else info.chunk_crcs[job.index],
-                    )
-                    offset = plan.out_offsets[i]
-                    out[offset : offset + plan.out_lengths[i]] = chunk
-                return
-            if trace is not None:
-                seconds = time.perf_counter() - start
-                trace.add_batch(BatchTrace(
-                    worker=worker_id,
-                    start=plan.jobs[lo].index,
-                    n_chunks=hi - lo,
-                    seconds=seconds,
-                    stages=tuple(events),
-                ))
-                per_chunk = seconds / (hi - lo)
-                for i, payload in zip(range(lo, hi), payloads):
-                    trace.add(ChunkTrace(
-                        index=plan.jobs[i].index,
-                        worker=worker_id,
-                        original_len=plan.out_lengths[i],
-                        payload_len=plan.jobs[i].length,
-                        raw_fallback=len(payload) > 0 and payload[0] == CHUNK_RAW,
-                        seconds=per_chunk,
-                        stages=(),
-                        batched=True,
-                    ))
-            for i, chunk in zip(range(lo, hi), chunks):
-                offset = plan.out_offsets[i]
-                out[offset : offset + plan.out_lengths[i]] = chunk
+                if trace is not None and not errors:
+                    _trace_decode_block(trace, worker_id, plan, lo, hi, payloads,
+                                        time.perf_counter() - start, events)
+                for i, chunk in zip(range(lo, hi), chunks):
+                    if chunk is not None:
+                        offset = plan.out_offsets[i]
+                        out[offset : offset + plan.out_lengths[i]] = chunk
+                return errors
 
-        return decode_block
+            return decode_job
 
-    engine.run(len(blocks), make_worker)
+        errors = [
+            error
+            for block_errors in engine.run(len(blocks), make_worker)
+            for error in block_errors
+        ]
+    errors.sort()
+    if errors and not salvage:
+        _, type_name, message = errors[0]
+        raise rebuild_error(type_name, message)
+    return out, errors
+
+
+def _chunk_failures(
+    errors, plan, info: fmt.ContainerInfo, codec: Codec, out_base: int = 0
+) -> tuple[ChunkFailure, ...]:
+    """Salvage's view of :func:`_decode_plan`'s error triples.
+
+    ``out_base`` shifts the plan-relative output windows (a range plan's
+    buffer starts at its first chunk, not at byte 0).
+    """
+    position = {job.index: k for k, job in enumerate(plan.jobs)}
+    failures = []
+    for index, type_name, message in errors:
+        k = position[index]
+        job = plan.jobs[k]
+        failures.append(ChunkFailure(
+            index=index,
+            payload_offset=job.offset,
+            payload_length=job.length,
+            output_offset=out_base + plan.out_offsets[k],
+            output_length=plan.out_lengths[k],
+            reason=message,
+            error_type=type_name,
+            codec=_chunk_codec_name(info, index, codec),
+        ))
+    return tuple(failures)
+
+
+def _check_errors_mode(errors: str) -> bool:
+    """Validate the ``errors=`` policy; True for salvage."""
+    if errors not in ("raise", "salvage"):
+        raise ValueError(f"errors must be 'raise' or 'salvage', not {errors!r}")
+    return errors == "salvage"
 
 
 def decompress_bytes(
@@ -706,14 +681,13 @@ def decompress_bytes(
       header itself (magic, version, geometry) still raises — without a
       parseable chunk table there is nothing to salvage.
     """
-    if errors not in ("raise", "salvage"):
-        raise ValueError(f"errors must be 'raise' or 'salvage', not {errors!r}")
+    salvage = _check_errors_mode(errors)
     info = fmt.inspect_container(blob)
     codec = codec_by_id(info.codec_id)
     _check_geometry(info, codec)
-    if errors == "salvage":
+    if salvage:
         return _decompress_salvage(blob, info, codec, workers=workers,
-                                   executor=executor, trace=trace)
+                                   executor=executor, trace=trace, batch=batch)
     if info.raw_fallback:
         data = bytes(memoryview(blob)[info.payload_offset :])
         if info.checksum is not None and fmt.checksum_of(data) != info.checksum:
@@ -721,44 +695,21 @@ def decompress_bytes(
                 "whole-input CRC32 mismatch: raw-fallback payload is corrupt"
             )
         return data, info
-    engine = resolve_executor(executor, workers)
-    if trace is not None:
-        trace.annotate(policy=engine.policy, workers=engine.workers,
-                       direction="decompress")
-    plan = plan_decode(info)
-    view = memoryview(blob)
-    # Write positions are known a priori (§3.1): decode straight into a
-    # preallocated buffer at the plan's prefix-sum offsets.
-    batched = _use_batch(batch, plan.n_chunks)
-    if getattr(engine, "kind", None) == "process":
-        try:
-            intermediate = engine.decode_chunks(
-                blob, plan, codec.name, info.chunk_crcs, batched,
-                fcm_restart=info.fcm_restart,
-                chunk_codecs=_plan_chunk_codecs(info, plan, codec),
-            )
-        finally:
-            if engine is not executor:
-                # A policy string built this engine, so this call owns
-                # its worker processes; don't leak them.
-                engine.close()
-    else:
-        out = bytearray(plan.out_len)
-        if batched:
-            _decode_batched_blocks(codec, plan, info, view, out, engine, trace)
-        else:
-            engine.run(
-                plan.n_chunks,
-                _make_decode_worker(codec, plan, info, view, out, trace),
-            )
-        intermediate = bytes(out)
+    with _resolved_engine(executor, workers) as engine:
+        if trace is not None:
+            trace.annotate(policy=engine.policy, workers=engine.workers,
+                           direction="decompress")
+        plan = plan_decode(info)
+        out, _ = _decode_plan(codec, info, plan, blob, engine, trace,
+                              _use_batch(batch, plan.n_chunks), salvage=False)
+    intermediate = bytes(out)
     global_stage = None if info.fcm_restart else codec.make_global_stage()
     if global_stage is not None:
         try:
             data = _run_global_stage(global_stage, "decode", intermediate, trace)
         except ReproError as exc:
             raise type(exc)(f"global stage {global_stage.name!r}: {exc}") from exc
-        except _FOREIGN as exc:
+        except FOREIGN_ERRORS as exc:
             raise CorruptDataError(
                 f"global stage {global_stage.name!r}: undecodable intermediate "
                 f"({type(exc).__name__}: {exc})"
@@ -801,8 +752,8 @@ def decompress_range_bytes(
 
     Plans the subset of chunks overlapping the range
     (:func:`~repro.core.plan.plan_for_range`) and runs them through the
-    same executors as a full decode — chunks outside the range are never
-    read, CRC-verified, or decoded.  Returns ``(data, info)`` where
+    same block decoder as a full decode — chunks outside the range are
+    never read, CRC-verified, or decoded.  Returns ``(data, info)`` where
     ``data`` is byte-identical to ``decompress_bytes(blob)[0][start:stop]``.
 
     Two container layouts cannot decode partially and fall back:
@@ -818,8 +769,7 @@ def decompress_range_bytes(
     are relative to the returned slice and ``checksum_ok`` is ``None``
     (a slice cannot be checksum-verified).
     """
-    if errors not in ("raise", "salvage"):
-        raise ValueError(f"errors must be 'raise' or 'salvage', not {errors!r}")
+    salvage = _check_errors_mode(errors)
     info = fmt.inspect_container(blob)
     codec = codec_by_id(info.codec_id)
     _check_geometry(info, codec)
@@ -831,7 +781,7 @@ def decompress_range_bytes(
     if info.raw_fallback:
         base = info.payload_offset
         data = bytes(memoryview(blob)[base + start : base + stop])
-        if errors == "salvage":
+        if salvage:
             report = SalvageReport(
                 n_chunks=0, output_len=len(data), checksum_ok=None,
             )
@@ -840,10 +790,10 @@ def decompress_range_bytes(
     if not info.fcm_restart and codec.global_stage_factory is not None:
         # Cross-chunk FCM (legacy v1/v2 DPratio): every output byte may
         # depend on any chunk, so there is nothing partial to plan.
-        if errors == "salvage":
+        if salvage:
             data, _, full = _decompress_salvage(
                 blob, info, codec, workers=workers, executor=executor,
-                trace=trace,
+                trace=trace, batch=batch,
             )
             report = SalvageReport(
                 n_chunks=full.n_chunks,
@@ -863,97 +813,37 @@ def decompress_range_bytes(
         return data[start:stop], info
     rplan = plan_for_range(info, start, stop)
     plan = rplan.plan
-    engine = resolve_executor(executor, workers)
-    if trace is not None:
-        trace.annotate(policy=engine.policy, workers=engine.workers,
-                       direction="decompress-range")
-    view = memoryview(blob)
-    batched = _use_batch(batch, plan.n_chunks)
+    with _resolved_engine(executor, workers) as engine:
+        if trace is not None:
+            trace.annotate(policy=engine.policy, workers=engine.workers,
+                           direction="decompress-range")
+        out, failed = _decode_plan(codec, info, plan, blob, engine, trace,
+                                   _use_batch(batch, plan.n_chunks), salvage)
     lo, hi = rplan.trim
-    if errors == "salvage":
-        out = bytearray(plan.out_len)
-        failures: list[ChunkFailure] = []  # list.append is GIL-atomic
-
-        def make_worker(worker_id: int):
-            resolve = _pipeline_resolver(codec, info)
-
-            def decode_job(i: int) -> None:
-                job = plan.jobs[i]
-                payload = view[job.offset : job.end]
-                length = plan.out_lengths[i]
-                offset = plan.out_offsets[i]
-                try:
-                    _verify_chunk_crc(info, job.index, payload, job)
-                    chunk = resolve(job.index).decode_chunk(payload, length)
-                except Exception as exc:
-                    failures.append(ChunkFailure(
-                        index=job.index,
-                        payload_offset=job.offset,
-                        payload_length=job.length,
-                        output_offset=rplan.aligned_start + offset,
-                        output_length=length,
-                        reason=str(exc) or type(exc).__name__,
-                        error_type=type(exc).__name__,
-                        codec=_chunk_codec_name(info, job.index, codec),
-                    ))
-                    return
-                out[offset : offset + length] = chunk
-
-            return decode_job
-
-        engine.run(plan.n_chunks, make_worker)
-        failures.sort(key=lambda f: f.index)
-        data = bytes(out[lo:hi])
-        damaged = _clip_ranges(
-            merge_ranges(
-                (f.output_offset, f.output_offset + f.output_length)
-                for f in failures
-            ),
-            start, stop,
-        )
-        notes = ()
-        if failures:
-            notes = ("range read: damaged ranges are relative to the "
-                     "returned slice; failure offsets are absolute",)
-        report = SalvageReport(
-            n_chunks=plan.n_chunks,
-            output_len=len(data),
-            failures=tuple(failures),
-            damaged_ranges=damaged,
-            checksum_ok=None,
-            notes=notes,
-        )
-        return data, info, report
-    if getattr(engine, "kind", None) == "process":
-        try:
-            decoded = engine.decode_chunks(
-                blob, plan, codec.name, info.chunk_crcs, batched,
-                fcm_restart=info.fcm_restart,
-                chunk_codecs=_plan_chunk_codecs(info, plan, codec),
-            )
-        finally:
-            if engine is not executor:
-                engine.close()
-        return bytes(decoded[lo:hi]), info
-    out = bytearray(plan.out_len)
-    if plan.n_chunks:
-        if batched:
-            _decode_batched_blocks(codec, plan, info, view, out, engine, trace)
-        else:
-            engine.run(
-                plan.n_chunks,
-                _make_decode_worker(codec, plan, info, view, out, trace),
-            )
-    return bytes(out[lo:hi]), info
-
-
-def _verify_chunk_crc(info: fmt.ContainerInfo, i: int, payload, job) -> None:
-    """Raise :class:`ChecksumError` when chunk ``i`` fails its stored CRC."""
-    if info.chunk_crcs is not None and fmt.checksum_of(payload) != info.chunk_crcs[i]:
-        raise ChecksumError(
-            f"chunk {i} (container bytes {job.offset}..{job.end}): "
-            f"payload CRC32 mismatch"
-        )
+    data = bytes(out[lo:hi])
+    if not salvage:
+        return data, info
+    failures = _chunk_failures(failed, plan, info, codec, rplan.aligned_start)
+    damaged = _clip_ranges(
+        merge_ranges(
+            (f.output_offset, f.output_offset + f.output_length)
+            for f in failures
+        ),
+        start, stop,
+    )
+    notes = ()
+    if failures:
+        notes = ("range read: damaged ranges are relative to the "
+                 "returned slice; failure offsets are absolute",)
+    report = SalvageReport(
+        n_chunks=plan.n_chunks,
+        output_len=len(data),
+        failures=failures,
+        damaged_ranges=damaged,
+        checksum_ok=None,
+        notes=notes,
+    )
+    return data, info, report
 
 
 def _decompress_salvage(
@@ -964,6 +854,7 @@ def _decompress_salvage(
     workers: int = 1,
     executor: str | Executor | None = None,
     trace: TraceCollector | None = None,
+    batch: bool | None = None,
 ) -> tuple[bytes, fmt.ContainerInfo, SalvageReport]:
     """Best-effort decode: recover every verifiable chunk, map the rest."""
     notes: list[str] = []
@@ -984,47 +875,16 @@ def _decompress_salvage(
             checksum_ok=checksum_ok, notes=tuple(notes),
         )
         return data, info, report
-    engine = resolve_executor(executor, workers)
-    if trace is not None:
-        trace.annotate(policy=engine.policy, workers=engine.workers,
-                       direction="salvage")
-    plan = plan_decode(info)
-    view = memoryview(blob)
-    out = bytearray(plan.out_len)
-    failures: list[ChunkFailure] = []  # list.append is GIL-atomic
-
-    def make_worker(worker_id: int):
-        resolve = _pipeline_resolver(codec, info)
-
-        def decode_job(i: int) -> None:
-            job = plan.jobs[i]
-            payload = view[job.offset : job.end]
-            length = plan.out_lengths[i]
-            offset = plan.out_offsets[i]
-            try:
-                _verify_chunk_crc(info, job.index, payload, job)
-                chunk = resolve(job.index).decode_chunk(payload, length)
-            except Exception as exc:
-                # Contained: the window stays zero-filled, the worklist
-                # moves on, and the failure is reported with both its
-                # payload and output coordinates.
-                failures.append(ChunkFailure(
-                    index=job.index,
-                    payload_offset=job.offset,
-                    payload_length=job.length,
-                    output_offset=offset,
-                    output_length=length,
-                    reason=str(exc) or type(exc).__name__,
-                    error_type=type(exc).__name__,
-                    codec=_chunk_codec_name(info, job.index, codec),
-                ))
-                return
-            out[offset : offset + length] = chunk
-
-        return decode_job
-
-    engine.run(plan.n_chunks, make_worker)
-    failures.sort(key=lambda f: f.index)
+    with _resolved_engine(executor, workers) as engine:
+        if trace is not None:
+            trace.annotate(policy=engine.policy, workers=engine.workers,
+                           direction="salvage")
+        plan = plan_decode(info)
+        out, failed = _decode_plan(codec, info, plan, blob, engine, trace,
+                                   _use_batch(batch, plan.n_chunks), salvage=True)
+    # Contained: failed windows stay zero-filled, and each failure is
+    # reported with both its payload and output coordinates.
+    failures = _chunk_failures(failed, plan, info, codec)
     intermediate = bytes(out)
     damaged_inter = merge_ranges(
         (f.output_offset, f.output_offset + f.output_length) for f in failures
@@ -1068,7 +928,7 @@ def _decompress_salvage(
     report = SalvageReport(
         n_chunks=info.n_chunks,
         output_len=len(data),
-        failures=tuple(failures),
+        failures=failures,
         damaged_ranges=merge_ranges(damaged_out),
         checksum_ok=checksum_ok,
         global_stage_failed=global_failed,

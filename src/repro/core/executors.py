@@ -83,6 +83,38 @@ def static_block_bounds(n_jobs: int, workers: int) -> np.ndarray:
     return np.linspace(0, n_jobs, workers + 1).astype(int)
 
 
+def block_ranges(n_jobs: int, workers: int) -> list[tuple[int, int]]:
+    """Non-empty contiguous ascending ``[lo, hi)`` job blocks, one per worker.
+
+    Ascending contiguity is a correctness property, not a convenience:
+    the lowest failing *block* then contains the globally lowest failing
+    *chunk*, preserving the executors' deterministic-error contract.
+    """
+    bounds = static_block_bounds(n_jobs, min(workers, n_jobs))
+    return [
+        (int(bounds[b]), int(bounds[b + 1]))
+        for b in range(len(bounds) - 1)
+        if bounds[b] < bounds[b + 1]
+    ]
+
+
+def split_ranges(blocks, keys) -> list[tuple[int, int]]:
+    """Split ``[lo, hi)`` blocks wherever ``keys[i]`` changes.
+
+    Used to make blocks codec-homogeneous (v4 containers): a batched
+    block runs one pipeline.  Ascending contiguity is preserved.
+    """
+    out = []
+    for lo, hi in blocks:
+        s = lo
+        for i in range(lo + 1, hi):
+            if keys[i] != keys[s]:
+                out.append((s, i))
+                s = i
+        out.append((s, hi))
+    return out
+
+
 class Executor(ABC):
     """A strategy for running independent chunk jobs."""
 
@@ -343,15 +375,16 @@ class SharedMemoryProcessExecutor(Executor):
     memory* (one copy in, one copy out — no per-chunk pickling of bulk
     data).  The engine routes its compress/decompress block jobs through
     :meth:`encode_chunks` / :meth:`decode_chunks`; both honour the
-    engine contracts — output bytes identical to serial, and on failure
-    the error of the lowest-indexed failing chunk is re-raised with its
-    serial message (errors cross the process boundary as
-    ``(index, type_name, message)`` triples and are rebuilt from
-    :mod:`repro.errors`).
+    engine contracts — output bytes identical to serial, and per-chunk
+    failures cross the process boundary as ``(index, type_name,
+    message)`` triples produced by the same block decoder the in-process
+    engine runs.  :meth:`encode_chunks` re-raises the lowest-indexed
+    failure (rebuilt from :mod:`repro.errors`); :meth:`decode_chunks`
+    returns its triples so the engine can raise (strict) or salvage.
 
     The generic :meth:`run` cannot ship arbitrary closures to another
-    process; it degrades to an in-process serial sweep (used by e.g.
-    salvage decode), keeping every caller functional.
+    process; it degrades to an in-process serial sweep, keeping every
+    caller functional.
     """
 
     policy = "process"
@@ -376,14 +409,6 @@ class SharedMemoryProcessExecutor(Executor):
         # Arbitrary job closures are not picklable; run them here instead.
         return SerialExecutor.run(self, n_jobs, make_worker)
 
-    def _block_tasks(self, n_chunks: int):
-        bounds = static_block_bounds(n_chunks, min(self.workers, n_chunks))
-        return [
-            (int(bounds[w]), int(bounds[w + 1]))
-            for w in range(len(bounds) - 1)
-            if bounds[w] < bounds[w + 1]
-        ]
-
     def encode_chunks(self, data, plan, codec_name: str, batch: bool,
                       fcm_restart: bool = False) -> list:
         """Compress every chunk of ``plan`` over ``data``; payload list."""
@@ -398,7 +423,7 @@ class SharedMemoryProcessExecutor(Executor):
         shm = shared_memory.SharedMemory(create=True, size=max(1, len(data)))
         try:
             shm.buf[: len(data)] = data
-            blocks = self._block_tasks(plan.n_chunks)
+            blocks = block_ranges(plan.n_chunks, self.workers)
             tasks = [
                 (
                     shm.name,
@@ -428,25 +453,15 @@ class SharedMemoryProcessExecutor(Executor):
             shm.close()
             shm.unlink()
 
-    @staticmethod
-    def _split_blocks(blocks, chunk_codecs):
-        """Split block tasks so each is codec-homogeneous (v4 containers)."""
-        out = []
-        for lo, hi in blocks:
-            s = lo
-            for i in range(lo + 1, hi):
-                if chunk_codecs[i] != chunk_codecs[s]:
-                    out.append((s, i))
-                    s = i
-            out.append((s, hi))
-        return out
-
     def decode_chunks(
         self, blob, plan, codec_name: str, chunk_crcs, batch: bool,
         fcm_restart: bool = False, chunk_codecs=None,
-    ) -> bytes:
-        """Decode every chunk of ``plan`` out of ``blob``; returns the
-        concatenated intermediate buffer.
+    ) -> tuple[bytes, list]:
+        """Decode every chunk of ``plan`` out of ``blob``.
+
+        Returns ``(buffer, errors)``: the concatenated intermediate buffer,
+        with failed chunks left zero-filled, and one ``(index, type_name,
+        message)`` triple per failed chunk in ascending index order.
 
         Subset (range) plans work unchanged: each task carries its job's
         global chunk index for CRC lookup and error attribution, while
@@ -462,7 +477,7 @@ class SharedMemoryProcessExecutor(Executor):
         from repro.core import _procwork
 
         if plan.n_chunks == 0:
-            return bytes(plan.out_len)
+            return bytes(plan.out_len), []
         pool = self._ensure_pool()
         blob = bytes(blob)
         in_shm = shared_memory.SharedMemory(create=True, size=max(1, len(blob)))
@@ -471,38 +486,27 @@ class SharedMemoryProcessExecutor(Executor):
         )
         try:
             in_shm.buf[: len(blob)] = blob
-            blocks = self._block_tasks(plan.n_chunks)
+            blocks = block_ranges(plan.n_chunks, self.workers)
             if chunk_codecs is not None:
-                blocks = self._split_blocks(blocks, chunk_codecs)
+                blocks = split_ranges(blocks, chunk_codecs)
             tasks = [
                 (
                     in_shm.name,
                     out_shm.name,
-                    codec_name if chunk_codecs is None else chunk_codecs[lo][0],
+                    *((codec_name, fcm_restart) if chunk_codecs is None
+                      else chunk_codecs[lo]),
                     batch,
-                    [
-                        (
-                            plan.jobs[i].index,
-                            plan.jobs[i].offset,
-                            plan.jobs[i].end,
-                            plan.out_offsets[i],
-                            plan.out_lengths[i],
-                            None if chunk_crcs is None
-                            else chunk_crcs[plan.jobs[i].index],
-                        )
-                        for i in range(lo, hi)
-                    ],
-                    fcm_restart,
+                    plan.jobs[lo:hi],
+                    plan.out_offsets[lo:hi],
+                    plan.out_lengths[lo:hi],
+                    _procwork.block_crcs(chunk_crcs, plan.jobs[lo:hi]),
                 )
                 for lo, hi in blocks
             ]
             errors: list[tuple[int, str, str]] = []
             for block_errors in pool.map(_procwork.proc_decode_block, tasks):
                 errors.extend(block_errors)
-            if errors:
-                index, type_name, msg = min(errors, key=lambda e: e[0])
-                raise _procwork.rebuild_error(type_name, msg)
-            return bytes(out_shm.buf[: plan.out_len])
+            return bytes(out_shm.buf[: plan.out_len]), errors
         finally:
             in_shm.close()
             in_shm.unlink()

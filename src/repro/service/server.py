@@ -952,6 +952,8 @@ class ServerThread:
         self._thread: threading.Thread | None = None
         self._started = threading.Event()
         self._error: BaseException | None = None
+        self._stop_lock = threading.Lock()
+        self._stop_requested = False
 
     @property
     def port(self) -> int:
@@ -990,10 +992,19 @@ class ServerThread:
         await self.server.wait_stopped()
 
     def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
-        """Thread-safe graceful stop; idempotent."""
+        """Thread-safe graceful stop; idempotent — a repeated call only
+        waits for the server thread to exit."""
         if self._loop is None or self.server is None or self._error is not None:
             return
         if self._thread is None or not self._thread.is_alive():
+            return
+        with self._stop_lock:
+            repeated = self._stop_requested
+            self._stop_requested = True
+        if repeated:
+            # The loop may already be shutting down, where a second stop
+            # coroutine would never run: just wait for the thread.
+            self._thread.join(timeout=timeout)
             return
         future = asyncio.run_coroutine_threadsafe(
             self.server.stop(drain=drain), self._loop

@@ -19,7 +19,11 @@ import pytest
 from repro.core import container as fmt
 from repro.core.chunking import CHUNK_SIZE
 from repro.core.codecs import CODECS, get_codec
-from repro.core.compressor import compress_bytes, decompress_bytes
+from repro.core.compressor import (
+    compress_bytes,
+    decompress_bytes,
+    decompress_range_bytes,
+)
 from repro.core.executors import (
     EXECUTOR_POLICIES,
     SharedMemoryProcessExecutor,
@@ -27,6 +31,7 @@ from repro.core.executors import (
     normalize_policy,
     resolve_executor,
 )
+from repro.core.pipeline import Pipeline
 from repro.errors import ChecksumError, ReproError
 from repro.stages import ByteShuffle, XorDelta
 
@@ -166,6 +171,21 @@ class TestProcessExecutorIdentity:
             back, _ = decompress_bytes(blob, executor=engine)
             assert back == data
 
+    def test_mixed_container_with_fcm_member(self, rng):
+        """A v4 member with an FCM stage keeps its restart framing in the
+        workers, whatever the container-level restart flag says."""
+        a = _sample(rng, np.float64, 6_000)
+        b = _sample(rng, np.float64, 6_000)
+        blob = fmt.concat_containers([
+            compress_bytes(a, get_codec("dpratio"), fcm="restart"),
+            compress_bytes(b, get_codec("dpspeed")),
+        ])
+        assert len(set(fmt.inspect_container(blob).chunk_codecs)) == 2
+        with SharedMemoryProcessExecutor(2) as engine:
+            for batch in (True, False):
+                back, _ = decompress_bytes(blob, executor=engine, batch=batch)
+                assert back == a + b, batch
+
     def test_closed_executor_rejects_work(self, rng):
         engine = SharedMemoryProcessExecutor(1)
         engine.close()
@@ -223,11 +243,61 @@ class TestProcessErrorSemantics:
         assert self._error_of(bad, executor="serial", batch=True) == serial
         assert self._error_of(bad, executor="threaded", workers=3) == serial
 
+    def _salvage_everywhere(self, decode) -> dict:
+        """``decode(**kwargs)`` under every policy and batch setting."""
+        results = {}
+        with SharedMemoryProcessExecutor(2) as engine:
+            for label, kwargs in (("serial", {"executor": "serial"}),
+                                  ("threaded", {"executor": "threaded",
+                                                "workers": 3}),
+                                  ("process", {"executor": engine})):
+                for batch in (True, False):
+                    results[label, batch] = decode(batch=batch, **kwargs)
+        return results
+
     def test_salvage_works_under_process_executor(self, container, rng):
         bad = _corrupt_chunk(container, 2)
-        with SharedMemoryProcessExecutor(2) as engine:
-            data, info, report = decompress_bytes(
-                bad, executor=engine, errors="salvage"
-            )
+        results = self._salvage_everywhere(
+            lambda **kw: decompress_bytes(bad, errors="salvage", **kw)
+        )
+        data, info, report = results["serial", False]
+        for key, result in results.items():
+            assert result == (data, info, report), key
         assert report.damaged_ranges  # chunk 2 was zero-filled
         assert len(data) == info.original_len
+        assert [f.index for f in report.failures] == [2]
+        # Salvage reasons carry the strict path's attribution prefix.
+        with pytest.raises(ChecksumError) as excinfo:
+            decompress_bytes(bad)
+        assert report.failures[0].reason == str(excinfo.value)
+        assert report.failures[0].reason.startswith(
+            "chunk 2 (container bytes "
+        )
+
+    def test_range_salvage_identical_under_every_policy(self, container):
+        bad = _corrupt_chunk(container, 2)
+        start, stop = CHUNK_SIZE + 100, 5 * CHUNK_SIZE - 7
+        results = self._salvage_everywhere(
+            lambda **kw: decompress_range_bytes(
+                bad, start, stop, errors="salvage", **kw
+            )
+        )
+        data, _, report = results["serial", False]
+        for key, result in results.items():
+            assert result == results["serial", False], key
+        assert [f.index for f in report.failures] == [2]
+        assert len(data) == stop - start
+
+    def test_salvage_honours_batch(self, container, monkeypatch):
+        calls = []
+        original = Pipeline.decode_chunk_batch
+
+        def spy(self, payloads, *args, **kwargs):
+            calls.append(len(payloads))
+            return original(self, payloads, *args, **kwargs)
+
+        monkeypatch.setattr(Pipeline, "decode_chunk_batch", spy)
+        decompress_bytes(container, errors="salvage", batch=False)
+        assert calls == []
+        decompress_bytes(container, errors="salvage", batch=True)
+        assert calls == [fmt.inspect_container(container).n_chunks]

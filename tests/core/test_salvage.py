@@ -16,7 +16,7 @@ from repro.core.codecs import CODECS, get_codec
 from repro.core.compressor import compress_bytes, decompress_bytes
 from repro.core.executors import SCHEDULING_POLICIES
 from repro.core.salvage import ChunkFailure, SalvageReport, merge_ranges, ranges_cover
-from repro.errors import ReproError
+from repro.errors import CorruptDataError, ReproError
 
 ALL_CODECS = sorted(CODECS)
 
@@ -221,6 +221,25 @@ class TestSalvageEdges:
         )
         assert len(got) == len(data)
         assert report.checksum_ok is False
+
+    def test_failure_reason_is_the_strict_error(self, smooth_f32):
+        # An unknown chunk flag fails inside the stage pipeline (no CRC
+        # table to catch it first): salvage must report the very message
+        # strict mode raises, chunk attribution prefix included.
+        data = smooth_f32.tobytes()
+        blob = compress_bytes(data, get_codec("spratio"),
+                              checksum=True, chunk_checksums=False)
+        info = fmt.inspect_container(blob)
+        buf = bytearray(blob)
+        buf[info.payload_offset + info.chunk_sizes[0]] = 0x7F  # chunk 1 flag
+        with pytest.raises(CorruptDataError) as excinfo:
+            decompress_bytes(bytes(buf))
+        _, _, report = decompress_bytes(bytes(buf), errors="salvage")
+        (failure,) = report.failures
+        assert failure.index == 1
+        assert failure.error_type == "CorruptDataError"
+        assert failure.reason == str(excinfo.value)
+        assert failure.reason.startswith("chunk 1 (container bytes ")
 
 
 class TestSalvageHelpers:

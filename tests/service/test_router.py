@@ -10,7 +10,9 @@ dead backend, and load shedding with a ``retry_after_ms`` hint.
 
 from __future__ import annotations
 
+import gc
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -414,3 +416,37 @@ class TestRoutedStreams:
                 )
                 assert failovers >= 1
                 assert expected  # the non-failover path stayed correct
+
+
+def _second_stop_seconds(endpoint) -> float:
+    """Stop ``endpoint`` twice; returns how long the second call took."""
+    # asyncio.run waits for the loop's default executor on the way out,
+    # so a pending sleep there keeps the loop thread alive past the first
+    # stop: the window in which a second stop used to schedule its
+    # coroutine onto a closing loop and block for the full timeout.
+    loop = endpoint._loop
+    loop.call_soon_threadsafe(loop.run_in_executor, None, time.sleep, 0.5)
+    endpoint.stop()
+    started = time.monotonic()
+    endpoint.stop()
+    elapsed = time.monotonic() - started
+    assert not endpoint._thread.is_alive()
+    return elapsed
+
+
+class TestRepeatedStop:
+    """An explicit stop() followed by __exit__'s stop() only joins."""
+
+    @pytest.mark.parametrize("kind", ["server", "router"])
+    def test_second_stop_returns_promptly(self, kind):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with ServerThread(ServiceConfig(port=0)) as backend:
+                if kind == "server":
+                    elapsed = _second_stop_seconds(backend)
+                else:
+                    with RouterThread(_router_config(backend.port)) as rt:
+                        elapsed = _second_stop_seconds(rt)
+            gc.collect()
+        assert elapsed < 1.0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
