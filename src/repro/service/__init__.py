@@ -7,6 +7,9 @@
   offload, per-request deadlines, graceful drain.
 * :mod:`repro.service.client` — the blocking client behind
   ``fprz remote`` and :func:`repro.api.connect`.
+* :mod:`repro.service.endpoint` — the listener lifecycle, frame loop
+  and background-thread harness the server, router and chaos proxy
+  share.
 * :mod:`repro.service.router` — the shard router behind ``fprz route``:
   consistent hashing across backends, health-checked failover, per-
   backend circuit breakers, load shedding.
@@ -29,6 +32,7 @@ keep working byte-identically.
 
 from repro.core.incremental import StreamingCompressor, StreamingDecompressor
 from repro.service.client import ServiceClient
+from repro.service.endpoint import wait_for_port
 from repro.service.faults import ChaosConfig, ChaosProxy, ChaosProxyThread
 from repro.service.metrics import MetricsRegistry
 from repro.service.protocol import DEFAULT_MAX_FRAME, DEFAULT_PORT, FEATURES
@@ -39,12 +43,7 @@ from repro.service.router import (
     RouterThread,
     ShardRouter,
 )
-from repro.service.server import (
-    CompressionServer,
-    ServerThread,
-    ServiceConfig,
-    wait_for_port,
-)
+from repro.service.server import CompressionServer, ServerThread, ServiceConfig
 
 __all__ = [
     "ChaosConfig",

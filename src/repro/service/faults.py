@@ -56,16 +56,14 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import signal
 import struct
-import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ServiceError
 from repro.service import protocol as proto
+from repro.service.endpoint import Endpoint, EndpointThread
 from repro.service.metrics import MetricsRegistry
 from repro.service.resilience import parse_address
 
@@ -196,8 +194,13 @@ def stream_schedule_preview(
     return rows
 
 
-class ChaosProxy:
-    """A frame-aware TCP proxy that injects seeded faults."""
+class ChaosProxy(Endpoint):
+    """A frame-aware TCP proxy that injects seeded faults.
+
+    It shares the endpoint lifecycle but not the frame loop: its
+    connections are raw pumps, and ``stop()`` aborts them rather than
+    draining.
+    """
 
     def __init__(
         self,
@@ -205,16 +208,10 @@ class ChaosProxy:
         *,
         registry: MetricsRegistry | None = None,
     ) -> None:
-        self.config = config
-        self.registry = registry or MetricsRegistry()
+        super().__init__(config, registry)
         self.upstream = parse_address(config.upstream)
-        self.port: int | None = None
-        self._server: asyncio.base_events.Server | None = None
-        self._conns: set[asyncio.StreamWriter] = set()
-        self._tasks: set[asyncio.Task] = set()
         self._event_index = 0
         self._killed = False
-        self._stopped: asyncio.Event | None = None
         #: Per-stream event log: (event_index, direction, frame_kind,
         #: correlation_id, action) for every stream frame observed.
         #: Bounded; the replay convention ``(seed, index)`` recovers
@@ -227,43 +224,6 @@ class ChaosProxy:
     def frames_observed(self) -> int:
         return self._event_index
 
-    # -- lifecycle ----------------------------------------------------
-
-    async def start(self) -> None:
-        self._stopped = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_conn, self.config.host, self.config.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    async def stop(self) -> None:
-        if self._stopped is None or self._stopped.is_set():
-            return
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for task in tuple(self._tasks):
-            task.cancel()
-        self._abort_all()
-        self._stopped.set()
-
-    async def wait_stopped(self) -> None:
-        assert self._stopped is not None, "proxy not started"
-        await self._stopped.wait()
-
-    async def run(self, *, install_signals: bool = True, on_started=None) -> None:
-        await self.start()
-        if on_started is not None:
-            on_started()
-        if install_signals:
-            loop = asyncio.get_running_loop()
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                with contextlib.suppress(NotImplementedError, ValueError):
-                    loop.add_signal_handler(
-                        sig, lambda: asyncio.ensure_future(self.stop())
-                    )
-        await self.wait_stopped()
-
     # -- kill switch --------------------------------------------------
 
     def kill(self) -> None:
@@ -271,13 +231,14 @@ class ChaosProxy:
         if not self._killed:
             self._killed = True
             self.registry.counter("chaos_kills_total").inc()
-        self._abort_all()
+        self._close_connections()
 
     def revive(self) -> None:
         """Accept traffic again after :meth:`kill`."""
         self._killed = False
 
-    def _abort_all(self) -> None:
+    def _close_connections(self) -> None:
+        # ``_conns`` holds the writers of both sides of every link.
         for writer in tuple(self._conns):
             self._abort(writer)
         self._conns.clear()
@@ -314,8 +275,8 @@ class ChaosProxy:
             ),
         ]
         for task in pumps:
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
+            self._jobs.add(task)
+            task.add_done_callback(self._jobs.discard)
         try:
             await asyncio.gather(*pumps, return_exceptions=True)
         finally:
@@ -404,21 +365,15 @@ class ChaosProxy:
                 return
 
 
-class ChaosProxyThread:
+class ChaosProxyThread(EndpointThread):
     """Run a :class:`ChaosProxy` on a background thread (test harness)."""
 
-    def __init__(self, config: ChaosConfig) -> None:
-        self.config = config
-        self.proxy: ChaosProxy | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._started = threading.Event()
-        self._error: BaseException | None = None
+    def _make_endpoint(self) -> ChaosProxy:
+        return ChaosProxy(self.config)
 
     @property
-    def port(self) -> int:
-        assert self.proxy is not None and self.proxy.port is not None
-        return self.proxy.port
+    def proxy(self) -> ChaosProxy | None:
+        return self.endpoint
 
     def kill(self) -> None:
         """Thread-safe :meth:`ChaosProxy.kill`."""
@@ -428,63 +383,3 @@ class ChaosProxyThread:
     def revive(self) -> None:
         assert self.proxy is not None and self._loop is not None
         self._loop.call_soon_threadsafe(self.proxy.revive)
-
-    def __enter__(self) -> "ChaosProxyThread":
-        self._thread = threading.Thread(
-            target=self._main, name="repro-chaos", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout=30):
-            raise ServiceError("chaos proxy thread failed to start in time")
-        if self._error is not None:
-            raise ServiceError(f"chaos proxy failed to start: {self._error}")
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-        if self._thread is not None:
-            self._thread.join(timeout=30)
-
-    def _main(self) -> None:
-        asyncio.run(self._amain())
-
-    async def _amain(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self.proxy = ChaosProxy(self.config)
-        try:
-            await self.proxy.start()
-        except BaseException as exc:
-            self._error = exc
-            self._started.set()
-            return
-        self._started.set()
-        await self.proxy.wait_stopped()
-
-    def stop(self, timeout: float = 30.0) -> None:
-        if self._loop is None or self.proxy is None or self._error is not None:
-            return
-        if self._thread is None or not self._thread.is_alive():
-            return
-        future = asyncio.run_coroutine_threadsafe(
-            self.proxy.stop(), self._loop
-        )
-        with contextlib.suppress(Exception):
-            future.result(timeout=timeout)
-
-
-def wait_for_chaos_port(host: str, port: int, *, timeout: float = 10.0) -> None:
-    """Block until the proxy's listen port accepts (CI smoke scripts)."""
-    import socket as _socket
-
-    deadline = time.monotonic() + timeout
-    while True:
-        try:
-            with _socket.create_connection((host, port), timeout=1.0):
-                return
-        except OSError:
-            if time.monotonic() >= deadline:
-                raise ServiceError(
-                    f"chaos proxy on {host}:{port} did not come up within "
-                    f"{timeout}s"
-                ) from None
-            time.sleep(0.05)

@@ -41,15 +41,14 @@ import contextlib
 import hashlib
 import itertools
 import json
-import signal
-import threading
 import time
 import zlib
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.errors import ProtocolError, ReproError, ServiceError
+from repro.errors import ProtocolError, ServiceError, traceback_summary
 from repro.service import protocol as proto
+from repro.service.endpoint import EndpointThread, FrameConnection, FrameEndpoint
 from repro.service.metrics import LATENCY_BUCKETS, MetricsRegistry
 from repro.service.resilience import format_address, parse_address
 
@@ -184,20 +183,6 @@ class _Backend:
         self.inflight = 0
 
 
-@dataclass(eq=False)
-class _ClientConn:
-    """Per-client-connection state (mirrors the server's)."""
-
-    writer: asyncio.StreamWriter
-    write_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
-    #: Quota identity from PING negotiation, forwarded per stream.
-    tenant: str | None = None
-    #: Live stream relays by client correlation id.
-    streams: dict = field(default_factory=dict)
-    #: Ids of failed streams whose in-flight frames are tolerated.
-    dead_streams: set = field(default_factory=set)
-
-
 class _StreamRelay:
     """Forwarding state for one client stream (one correlation id).
 
@@ -270,7 +255,7 @@ class _StreamRelay:
         return self.buffer_ok and not self.responded
 
 
-class ShardRouter:
+class ShardRouter(FrameEndpoint):
     """A consistent-hashing, health-checked FPRW front tier."""
 
     def __init__(
@@ -282,24 +267,16 @@ class ShardRouter:
     ) -> None:
         if not config.backends:
             raise ServiceError("ShardRouter needs at least one backend")
-        self.config = config
-        self.registry = registry or MetricsRegistry()
-        self.port: int | None = None
+        super().__init__(config, registry)
         self._clock = clock
         self._backends = [
             _Backend(parse_address(spec), self._make_breaker(spec))
             for spec in config.backends
         ]
         self._ring = self._build_ring()
-        self._server: asyncio.base_events.Server | None = None
-        self._conns: set[_ClientConn] = set()
-        self._jobs: set[asyncio.Task] = set()
         self._health_task: asyncio.Task | None = None
         self._inflight = 0
-        self._draining = False
-        self._stopped: asyncio.Event | None = None
         self._backend_rids = itertools.count(1)
-        self._started_at = 0.0
 
     def _make_breaker(self, spec) -> CircuitBreaker:
         label = format_address(parse_address(spec))
@@ -350,66 +327,41 @@ class ShardRouter:
                     break
         return ordered
 
-    # -- lifecycle ----------------------------------------------------
+    def _stream_candidates(
+        self, begin_body: bytes, request_id: int
+    ) -> list[_Backend]:
+        """Ring order for one stream: its BEGIN body plus its correlation
+        id, so same-shaped streams spread instead of sharing a backend."""
+        return self._candidates(begin_body + request_id.to_bytes(8, "little"))
 
-    async def start(self) -> None:
-        cfg = self.config
-        self._stopped = asyncio.Event()
+    # -- lifecycle hooks ----------------------------------------------
+
+    @property
+    def _drain_timeout(self) -> float:
+        return self.config.backend_timeout
+
+    async def _open(self) -> None:
         for backend in self._backends:
             # Until the first health check says otherwise, a backend is
             # assumed healthy (breaker starts CLOSED).
             self.registry.gauge("backend_healthy", backend=backend.label).set(1)
             self.registry.gauge("breaker_state", backend=backend.label).set(0)
-        self._server = await asyncio.start_server(
-            self._handle_conn, cfg.host, cfg.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
         self._health_task = asyncio.ensure_future(self._health_loop())
-        self._started_at = self._clock()
 
-    async def stop(self, drain: bool = True) -> None:
-        if self._stopped is None or self._stopped.is_set():
-            return
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+    async def _close(self) -> None:
         if self._health_task is not None:
             self._health_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._health_task
-        if drain and self._jobs:
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(
-                    asyncio.gather(*tuple(self._jobs), return_exceptions=True),
-                    self.config.backend_timeout,
-                )
-        for task in tuple(self._jobs):
-            task.cancel()
-        for conn in tuple(self._conns):
-            conn.writer.close()
         for backend in self._backends:
             while backend.pool:
                 _, writer = backend.pool.pop()
                 writer.close()
-        self._stopped.set()
 
-    async def wait_stopped(self) -> None:
-        assert self._stopped is not None, "router not started"
-        await self._stopped.wait()
-
-    async def run(self, *, install_signals: bool = True, on_started=None) -> None:
-        await self.start()
-        if on_started is not None:
-            on_started()
-        if install_signals:
-            loop = asyncio.get_running_loop()
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                with contextlib.suppress(NotImplementedError, ValueError):
-                    loop.add_signal_handler(
-                        sig, lambda: asyncio.ensure_future(self.stop())
-                    )
-        await self.wait_stopped()
+    def _disconnected(self, conn: FrameConnection) -> None:
+        for relay in tuple(conn.streams.values()):
+            if relay.task is not None:
+                relay.task.cancel()
 
     # -- health checks ------------------------------------------------
 
@@ -590,64 +542,10 @@ class ShardRouter:
             outcome=outcome,
         ).inc()
 
-    # -- client-facing plumbing ---------------------------------------
+    # -- client-facing admission --------------------------------------
 
-    async def _send(
-        self, conn: _ClientConn, opcode: int, request_id: int, body: bytes = b""
-    ) -> None:
-        try:
-            async with conn.write_lock:
-                conn.writer.write(proto.encode_frame(opcode, request_id, body))
-                await conn.writer.drain()
-        except (ConnectionError, RuntimeError, OSError):
-            pass  # client went away; nothing left to deliver
-
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        cfg = self.config
-        conn = _ClientConn(writer=writer)
-        self._conns.add(conn)
-        self.registry.gauge("connections").inc()
-        try:
-            while True:
-                try:
-                    header = await reader.readexactly(proto.HEADER_SIZE)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                try:
-                    opcode, request_id, body_len = proto.parse_header(
-                        header, max_frame=cfg.max_frame
-                    )
-                    if opcode not in proto.REQUEST_OPCODES:
-                        raise ProtocolError(
-                            f"opcode 0x{opcode:02x} is a response opcode"
-                        )
-                except ReproError as exc:
-                    self.registry.counter("protocol_errors_total").inc()
-                    await self._send(
-                        conn, proto.OP_ERROR, getattr(exc, "request_id", 0),
-                        proto.encode_error_body(proto.ERR_PROTOCOL, str(exc)),
-                    )
-                    break
-                try:
-                    body = await reader.readexactly(body_len)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                if await self._admit(conn, opcode, request_id, body) is False:
-                    break
-        finally:
-            for relay in tuple(conn.streams.values()):
-                if relay.task is not None:
-                    relay.task.cancel()
-            self._conns.discard(conn)
-            self.registry.gauge("connections").dec()
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    async def _admit(
-        self, conn: _ClientConn, opcode: int, request_id: int, body: bytes
+    async def _handle_frame(
+        self, conn: FrameConnection, opcode: int, request_id: int, body: bytes
     ) -> bool | None:
         cfg = self.config
         if opcode == proto.OP_PING:
@@ -689,28 +587,10 @@ class ShardRouter:
         task.add_done_callback(self._jobs.discard)
         return None
 
-    def _negotiate(self, conn: _ClientConn, body: bytes) -> bytes:
-        """Mirror the server's PING negotiation (fail-open to v1)."""
-        if not body:
-            return b""
-        try:
-            doc = proto.decode_ping_body(body)
-        except ProtocolError:
-            self.registry.counter("ping_negotiation_failures_total").inc()
-            return b""
-        tenant = doc.get("tenant")
-        if isinstance(tenant, str) and tenant:
-            conn.tenant = tenant
-        if not doc.get("features"):
-            return b""
-        # The router relays streams transparently, so it advertises the
-        # full feature set; the window is each backend's to grant.
-        return proto.encode_ping_body(proto.FEATURES)
-
     # -- stream relaying ----------------------------------------------
 
     def _admit_stream_begin(
-        self, conn: _ClientConn, request_id: int, body: bytes
+        self, conn: FrameConnection, request_id: int, body: bytes
     ) -> bool | None:
         conn.dead_streams.discard(request_id)
         if request_id in conn.streams:
@@ -728,7 +608,7 @@ class ShardRouter:
         return None
 
     async def _admit_stream_frame(
-        self, conn: _ClientConn, opcode: int, request_id: int, body: bytes
+        self, conn: FrameConnection, opcode: int, request_id: int, body: bytes
     ) -> bool | None:
         relay = conn.streams.get(request_id)
         if relay is not None:
@@ -752,7 +632,7 @@ class ShardRouter:
         return False
 
     async def _run_stream_relay(
-        self, conn: _ClientConn, request_id: int, relay: _StreamRelay
+        self, conn: FrameConnection, request_id: int, relay: _StreamRelay
     ) -> None:
         """Place a stream on the ring and relay it end to end."""
         cfg = self.config
@@ -760,7 +640,7 @@ class ShardRouter:
         outcome = "error"
         try:
             candidates = [
-                b for b in self._candidates(relay.begin_body)
+                b for b in self._stream_candidates(relay.begin_body, request_id)
                 if b.breaker.allows()
             ]
             busy_hints: list[int] = []
@@ -839,7 +719,7 @@ class ShardRouter:
     async def _relay_stream_on(
         self,
         backend: _Backend,
-        conn: _ClientConn,
+        conn: FrameConnection,
         request_id: int,
         relay: _StreamRelay,
     ) -> str:
@@ -951,15 +831,13 @@ class ShardRouter:
                 writer.close()
 
     async def _run_request(
-        self, conn: _ClientConn, opcode: int, request_id: int, body: bytes
+        self, conn: FrameConnection, opcode: int, request_id: int, body: bytes
     ) -> None:
         start = self._clock()
         try:
             resp_op, resp_body, _outcome = await self._dispatch(opcode, body)
             await self._send(conn, resp_op, request_id, resp_body)
         except Exception as exc:  # never let a routing bug hang a client
-            from repro.errors import traceback_summary
-
             await self._send(
                 conn, proto.OP_ERROR, request_id,
                 proto.encode_error_body(
@@ -1001,80 +879,17 @@ class ShardRouter:
         }
 
 
-class RouterThread:
-    """Run a :class:`ShardRouter` on a background thread (test harness).
-
-    The router-shaped sibling of
-    :class:`~repro.service.server.ServerThread`::
+class RouterThread(EndpointThread):
+    """Run a :class:`ShardRouter` on a background thread::
 
         with RouterThread(RouterConfig(port=0, backends=addrs)) as rt:
             with ResilientClient(f"127.0.0.1:{rt.port}") as client:
                 blob = client.compress(array)
     """
 
-    def __init__(self, config: RouterConfig) -> None:
-        self.config = config
-        self.router: ShardRouter | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._started = threading.Event()
-        self._error: BaseException | None = None
-        self._stop_lock = threading.Lock()
-        self._stop_requested = False
+    def _make_endpoint(self) -> ShardRouter:
+        return ShardRouter(self.config)
 
     @property
-    def port(self) -> int:
-        assert self.router is not None and self.router.port is not None
-        return self.router.port
-
-    def __enter__(self) -> "RouterThread":
-        self._thread = threading.Thread(
-            target=self._main, name="repro-route", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout=30):
-            raise ServiceError("router thread failed to start in time")
-        if self._error is not None:
-            raise ServiceError(f"router failed to start: {self._error}")
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-        if self._thread is not None:
-            self._thread.join(timeout=30)
-
-    def _main(self) -> None:
-        asyncio.run(self._amain())
-
-    async def _amain(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self.router = ShardRouter(self.config)
-        try:
-            await self.router.start()
-        except BaseException as exc:
-            self._error = exc
-            self._started.set()
-            return
-        self._started.set()
-        await self.router.wait_stopped()
-
-    def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
-        """Thread-safe graceful stop; idempotent — a repeated call only
-        waits for the router thread to exit."""
-        if self._loop is None or self.router is None or self._error is not None:
-            return
-        if self._thread is None or not self._thread.is_alive():
-            return
-        with self._stop_lock:
-            repeated = self._stop_requested
-            self._stop_requested = True
-        if repeated:
-            # The loop may already be shutting down, where a second stop
-            # coroutine would never run: just wait for the thread.
-            self._thread.join(timeout=timeout)
-            return
-        future = asyncio.run_coroutine_threadsafe(
-            self.router.stop(drain=drain), self._loop
-        )
-        with contextlib.suppress(Exception):
-            future.result(timeout=timeout)
+    def router(self) -> ShardRouter | None:
+        return self.endpoint

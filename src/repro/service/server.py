@@ -35,11 +35,7 @@ Architecture — the same skeleton any inference-serving stack needs:
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import json
-import signal
-import socket
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -67,6 +63,7 @@ from repro.errors import (
     traceback_summary,
 )
 from repro.service import protocol as proto
+from repro.service.endpoint import EndpointThread, FrameConnection, FrameEndpoint
 from repro.service.metrics import (
     DEPTH_BUCKETS,
     LATENCY_BUCKETS,
@@ -182,24 +179,17 @@ class _StreamJob:
 
 
 @dataclass(eq=False)
-class _Connection:
-    """Per-connection state (identity-hashed: every connection is unique)."""
+class _Connection(FrameConnection):
+    """Server-side connection state: stream ledger and admission."""
 
-    writer: asyncio.StreamWriter
-    ledger: proto.StreamLedger
-    write_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
+    ledger: proto.StreamLedger | None = None
     bytes_in_flight: int = 0
     tasks: set = field(default_factory=set)
-    #: Quota accounting identity, set by PING negotiation.
-    tenant: str = "default"
-    #: Live stream jobs by correlation id.
-    streams: dict = field(default_factory=dict)
-    #: Correlation ids of streams aborted server-side whose in-flight
-    #: frames are tolerated (dropped) until their STREAM-END arrives.
-    dead_streams: set = field(default_factory=set)
+    #: Quota accounting identity; un-negotiated clients share one.
+    tenant: str | None = "default"
 
 
-class CompressionServer:
+class CompressionServer(FrameEndpoint):
     """A framed compress/decompress/inspect service over TCP."""
 
     def __init__(
@@ -208,14 +198,9 @@ class CompressionServer:
         *,
         registry: MetricsRegistry | None = None,
     ) -> None:
-        self.config = config or ServiceConfig()
-        self.registry = registry or MetricsRegistry()
-        self.port: int | None = None
-        self._server: asyncio.base_events.Server | None = None
+        super().__init__(config or ServiceConfig(), registry)
         self._pool: ThreadPoolExecutor | None = None
         self._chunk_executor: Executor | None = None
-        self._conns: set[_Connection] = set()
-        self._jobs: set[asyncio.Task] = set()
         self._queue_depth = 0
         #: Per-tenant admission buckets (created lazily; quota_rate > 0).
         self._buckets: dict[str, _TokenBucket] = {}
@@ -223,19 +208,22 @@ class CompressionServer:
         #: high-water mark is the ``stream_buffered_watermark`` gauge the
         #: bounded-memory tests assert against.
         self._stream_buffered = 0
-        self._draining = False
-        self._stopped: asyncio.Event | None = None
-        self._started_at = 0.0
         self._kernel_backend: str | None = None
         #: Pin active before we pinned (sentinel False = we never pinned).
         self._prev_backend_pin: str | None | bool = False
 
-    # -- lifecycle ----------------------------------------------------
+    # -- lifecycle hooks ----------------------------------------------
 
-    async def start(self) -> None:
-        """Bind the listening socket and start serving connections."""
+    @property
+    def _drain_timeout(self) -> float:
+        return self.config.drain_timeout
+
+    @property
+    def _stream_window(self) -> int:
+        return self.config.stream_window
+
+    async def _open(self) -> None:
         cfg = self.config
-        self._stopped = asyncio.Event()
         try:
             policy = normalize_policy(cfg.codec_policy, ("threaded", "process"))
         except ValueError as exc:
@@ -261,30 +249,8 @@ class CompressionServer:
             )
         elif cfg.codec_workers > 1:
             self._chunk_executor = PooledThreadedExecutor(cfg.codec_workers)
-        self._server = await asyncio.start_server(
-            self._handle_conn, cfg.host, cfg.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._started_at = time.monotonic()
 
-    async def stop(self, drain: bool = True) -> None:
-        """Stop serving; with ``drain``, let in-flight jobs finish first."""
-        if self._stopped is None or self._stopped.is_set():
-            return
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if drain and self._jobs:
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(
-                    asyncio.gather(*tuple(self._jobs), return_exceptions=True),
-                    self.config.drain_timeout,
-                )
-        for task in tuple(self._jobs):
-            task.cancel()
-        for conn in tuple(self._conns):
-            conn.writer.close()
+    async def _close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
         if isinstance(
@@ -297,102 +263,20 @@ class CompressionServer:
             # embedded ServerThread uses share the process with tests).
             kernel_backend.set_backend(self._prev_backend_pin)
             self._prev_backend_pin = False
-        self._stopped.set()
 
-    async def wait_stopped(self) -> None:
-        assert self._stopped is not None, "server not started"
-        await self._stopped.wait()
-
-    async def run(
-        self, *, install_signals: bool = True, on_started=None
-    ) -> None:
-        """Start, serve until SIGTERM/SIGINT (graceful drain), then exit."""
-        await self.start()
-        if on_started is not None:
-            on_started()
-        if install_signals:
-            loop = asyncio.get_running_loop()
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                with contextlib.suppress(NotImplementedError, ValueError):
-                    loop.add_signal_handler(
-                        sig, lambda: asyncio.ensure_future(self.stop())
-                    )
-        await self.wait_stopped()
-
-    # -- connection handling ------------------------------------------
-
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        cfg = self.config
-        conn = _Connection(
+    def _new_connection(self, writer: asyncio.StreamWriter) -> _Connection:
+        return _Connection(
             writer=writer,
-            ledger=proto.StreamLedger(window=cfg.stream_window),
+            ledger=proto.StreamLedger(window=self.config.stream_window),
         )
-        self._conns.add(conn)
-        self.registry.gauge("connections").inc()
-        self.registry.counter("connections_total").inc()
-        try:
-            while True:
-                try:
-                    header = await reader.readexactly(proto.HEADER_SIZE)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                try:
-                    opcode, request_id, body_len = proto.parse_header(
-                        header, max_frame=cfg.max_frame
-                    )
-                    if opcode not in proto.REQUEST_OPCODES:
-                        exc = ServiceError(
-                            f"opcode 0x{opcode:02x} is a response opcode"
-                        )
-                        raise self._as_protocol_error(exc, request_id)
-                except ReproError as exc:
-                    # A frame we cannot trust leaves the stream unsynced:
-                    # answer with a typed error, then drop the connection.
-                    self.registry.counter("protocol_errors_total").inc()
-                    await self._send(
-                        conn, proto.OP_ERROR, getattr(exc, "request_id", 0),
-                        proto.encode_error_body(proto.ERR_PROTOCOL, str(exc)),
-                    )
-                    break
-                try:
-                    body = await reader.readexactly(body_len)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                if await self._dispatch(conn, opcode, request_id, body) is False:
-                    # A stream-level protocol violation leaves the
-                    # per-connection stream state untrustworthy: the
-                    # typed error has been sent; drop the connection.
-                    break
-        finally:
-            for job in tuple(conn.streams.values()):
-                job.queue.put_nowait(("abort", b""))
-            self._conns.discard(conn)
-            self.registry.gauge("connections").dec()
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
 
-    @staticmethod
-    def _as_protocol_error(exc: Exception, request_id: int):
-        from repro.errors import ProtocolError
+    def _disconnected(self, conn: _Connection) -> None:
+        for job in tuple(conn.streams.values()):
+            job.queue.put_nowait(("abort", b""))
 
-        wrapped = ProtocolError(str(exc))
-        wrapped.request_id = request_id
-        return wrapped
+    # -- request dispatch ---------------------------------------------
 
-    async def _send(
-        self, conn: _Connection, opcode: int, request_id: int, body: bytes = b""
-    ) -> None:
-        try:
-            async with conn.write_lock:
-                conn.writer.write(proto.encode_frame(opcode, request_id, body))
-                await conn.writer.drain()
-        except (ConnectionError, RuntimeError):
-            pass  # client went away; the job result is simply discarded
-
-    async def _dispatch(
+    async def _handle_frame(
         self, conn: _Connection, opcode: int, request_id: int, body: bytes
     ) -> bool | None:
         """Route one request frame.  Returns ``False`` when the
@@ -456,31 +340,7 @@ class CompressionServer:
         task.add_done_callback(conn.tasks.discard)
         return None
 
-    # -- feature negotiation and quotas --------------------------------
-
-    def _negotiate(self, conn: _Connection, body: bytes) -> bytes:
-        """PING body in, PING reply body out (see ``decode_ping_body``).
-
-        An empty request body is a protocol-v1 peer and gets the v1
-        empty reply, byte for byte.  A malformed body fails *open* to the
-        same v1 semantics — negotiation is an optimisation, never a
-        reason to reject an old client.
-        """
-        if not body:
-            return b""
-        try:
-            doc = proto.decode_ping_body(body)
-        except ProtocolError:
-            self.registry.counter("ping_negotiation_failures_total").inc()
-            return b""
-        tenant = doc.get("tenant")
-        if isinstance(tenant, str) and tenant:
-            conn.tenant = tenant
-        if not doc.get("features"):
-            return b""
-        return proto.encode_ping_body(
-            proto.FEATURES, stream_window=self.config.stream_window
-        )
+    # -- quotas -------------------------------------------------------
 
     async def _admit_quota(
         self, conn: _Connection, opname: str, request_id: int, n_bytes: int
@@ -914,7 +774,7 @@ class CompressionServer:
         cfg = self.config
         return {
             "server": {
-                "uptime_seconds": time.monotonic() - self._started_at,
+                "uptime_seconds": self._clock() - self._started_at,
                 "draining": self._draining,
                 "queue_depth": self._queue_depth,
                 "queue_high_water": cfg.queue_high_water,
@@ -934,11 +794,8 @@ class CompressionServer:
         }
 
 
-class ServerThread:
-    """Run a :class:`CompressionServer` on a background thread.
-
-    The harness used by the tests, the benchmark trajectory, and any
-    caller that wants a live server without owning an event loop::
+class ServerThread(EndpointThread):
+    """Run a :class:`CompressionServer` on a background thread::
 
         with ServerThread(ServiceConfig(port=0)) as srv:
             with ServiceClient(port=srv.port) as client:
@@ -946,85 +803,11 @@ class ServerThread:
     """
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
-        self.config = config or ServiceConfig(port=0)
-        self.server: CompressionServer | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._started = threading.Event()
-        self._error: BaseException | None = None
-        self._stop_lock = threading.Lock()
-        self._stop_requested = False
+        super().__init__(config or ServiceConfig(port=0))
+
+    def _make_endpoint(self) -> CompressionServer:
+        return CompressionServer(self.config)
 
     @property
-    def port(self) -> int:
-        assert self.server is not None and self.server.port is not None
-        return self.server.port
-
-    def __enter__(self) -> ServerThread:
-        self._thread = threading.Thread(
-            target=self._main, name="repro-serve", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout=30):
-            raise ServiceError("server thread failed to start in time")
-        if self._error is not None:
-            raise ServiceError(f"server failed to start: {self._error}")
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-        if self._thread is not None:
-            self._thread.join(timeout=30)
-
-    def _main(self) -> None:
-        asyncio.run(self._amain())
-
-    async def _amain(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self.server = CompressionServer(self.config)
-        try:
-            await self.server.start()
-        except BaseException as exc:
-            self._error = exc
-            self._started.set()
-            return
-        self._started.set()
-        await self.server.wait_stopped()
-
-    def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
-        """Thread-safe graceful stop; idempotent — a repeated call only
-        waits for the server thread to exit."""
-        if self._loop is None or self.server is None or self._error is not None:
-            return
-        if self._thread is None or not self._thread.is_alive():
-            return
-        with self._stop_lock:
-            repeated = self._stop_requested
-            self._stop_requested = True
-        if repeated:
-            # The loop may already be shutting down, where a second stop
-            # coroutine would never run: just wait for the thread.
-            self._thread.join(timeout=timeout)
-            return
-        future = asyncio.run_coroutine_threadsafe(
-            self.server.stop(drain=drain), self._loop
-        )
-        with contextlib.suppress(Exception):
-            future.result(timeout=timeout)
-
-
-def wait_for_port(
-    host: str, port: int, *, timeout: float = 10.0
-) -> None:
-    """Block until a TCP connect to ``host:port`` succeeds (smoke tests)."""
-    deadline = time.monotonic() + timeout
-    while True:
-        try:
-            with socket.create_connection((host, port), timeout=1.0):
-                return
-        except OSError:
-            if time.monotonic() >= deadline:
-                raise ServiceError(
-                    f"server on {host}:{port} did not come up within {timeout}s"
-                ) from None
-            time.sleep(0.05)
+    def server(self) -> CompressionServer | None:
+        return self.endpoint

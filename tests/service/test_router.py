@@ -5,12 +5,15 @@ backends behind a :class:`~repro.service.router.RouterThread` and
 assert the acceptance behaviors: byte-identical routing, circuit
 breakers that open after consecutive failures and readmit a recovered
 backend (observed through the metrics registry), failover around a
-dead backend, and load shedding with a ``retry_after_ms`` hint.
+dead backend, and load shedding with a ``retry_after_ms`` hint.  The
+last classes pin the endpoint the server, router and chaos proxy
+share: one frame loop and one thread harness.
 """
 
 from __future__ import annotations
 
 import gc
+import socket
 import time
 import warnings
 
@@ -20,6 +23,8 @@ import pytest
 import repro
 from repro.errors import BusyError, ServiceError
 from repro.service import (
+    ChaosConfig,
+    ChaosProxyThread,
     ResilientClient,
     RetryPolicy,
     RouterConfig,
@@ -28,6 +33,7 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
 )
+from repro.service import protocol as proto
 from repro.service.router import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -165,14 +171,14 @@ def _walk(rng, n, dtype=np.float32):
 
 
 def _router_config(*ports: int, **overrides) -> RouterConfig:
-    return RouterConfig(
-        port=0,
-        backends=tuple(("127.0.0.1", p) for p in ports),
-        health_interval=0.1,
-        failure_threshold=2,
-        open_seconds=0.4,
+    return RouterConfig(**{
+        "port": 0,
+        "backends": tuple(("127.0.0.1", p) for p in ports),
+        "health_interval": 0.1,
+        "failure_threshold": 2,
+        "open_seconds": 0.4,
         **overrides,
-    )
+    })
 
 
 class TestRoutingLive:
@@ -395,16 +401,26 @@ class TestRoutedStreams:
 
     def test_stream_fails_over_around_a_dead_backend(self, rng):
         data = _walk(rng, 6_000)
-        expected = repro.compress(data, "spspeed", fcm="restart")
+        raw, dtype_code, shape = ServiceClient._array_payload(data)
+        begin = proto.encode_stream_begin(
+            proto.STREAM_COMPRESS, total_len=len(raw), codec="spspeed",
+            dtype_code=dtype_code, shape=shape,
+        )
         with ServerThread(ServiceConfig(port=0)) as a, \
                 ServerThread(ServiceConfig(port=0)) as b:
-            with RouterThread(_router_config(a.port, b.port)) as rt:
-                a.stop(drain=False)
+            servers = {a.port: a, b.port: b}
+            # No health checks after the first: a probe could open the
+            # dead backend's breaker, and the stream would route around
+            # it without a failover.
+            config = _router_config(a.port, b.port, health_interval=60.0)
+            with RouterThread(config) as rt:
                 with ServiceClient(port=rt.port) as client:
-                    # Several distinct payloads so the ring maps at
-                    # least one of them to the dead backend first.
+                    client.negotiate()  # id 1: the first stream opens on id 2
+                    # Kill the backend the ring puts first for that stream.
+                    victim = rt.router._stream_candidates(begin, 2)[0]
+                    servers[victim.addr[1]].stop(drain=False)
                     for i in range(6):
-                        payload = data + np.float32(i)
+                        payload = data + np.float32(i)  # same shape: same BEGIN
                         blob = client.compress_streamed(payload, "spspeed")
                         assert blob == repro.compress(
                             payload, "spspeed", fcm="restart"
@@ -415,7 +431,51 @@ class TestRoutedStreams:
                     if key.startswith("failovers_total") and "stream" in key
                 )
                 assert failovers >= 1
-                assert expected  # the non-failover path stayed correct
+
+    def test_same_shaped_streams_spread_across_backends(self, rng):
+        data = _walk(rng, 4_000)
+        with ServerThread(ServiceConfig(port=0)) as a, \
+                ServerThread(ServiceConfig(port=0)) as b, \
+                ServerThread(ServiceConfig(port=0)) as c, \
+                ServerThread(ServiceConfig(port=0)) as d:
+            config = _router_config(a.port, b.port, c.port, d.port)
+            with RouterThread(config) as rt:
+                with ServiceClient(port=rt.port) as client:
+                    for i in range(8):
+                        client.compress_streamed(data + np.float32(i), "spspeed")
+                    counters = client.stats()["metrics"]["counters"]
+        served = {
+            key for key, count in counters.items()
+            if key.startswith("router_requests_total")
+            and "opcode=stream-begin" in key and "outcome=ok" in key
+            and count > 0
+        }
+        assert len(served) >= 2
+
+
+class TestSharedFrameLoop:
+    """Server and router accept frames through one loop: same bytes out."""
+
+    @staticmethod
+    def _reply(port: int, frame: bytes) -> bytes:
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
+            s.sendall(frame)
+            return s.makefile("rb").read()  # the endpoint closes after ERROR
+
+    def test_server_and_router_reject_a_response_opcode_identically(self):
+        frame = proto.encode_frame(proto.OP_RESULT, 7)
+        with ServerThread(ServiceConfig(port=0)) as srv:
+            with RouterThread(_router_config(srv.port)) as rt:
+                from_server = self._reply(srv.port, frame)
+                from_router = self._reply(rt.port, frame)
+        assert from_server == from_router
+        opcode, request_id, _ = proto.parse_header(
+            from_server[:proto.HEADER_SIZE]
+        )
+        assert (opcode, request_id) == (proto.OP_ERROR, 7)
+        assert proto.decode_error_body(from_server[proto.HEADER_SIZE:]) == (
+            proto.ERR_PROTOCOL, "opcode 0x80 is a response opcode",
+        )
 
 
 def _second_stop_seconds(endpoint) -> float:
@@ -434,10 +494,21 @@ def _second_stop_seconds(endpoint) -> float:
     return elapsed
 
 
+def _harness(kind: str, backend_port: int, port: int = 0):
+    """An unstarted thread harness of ``kind`` listening on ``port``."""
+    if kind == "server":
+        return ServerThread(ServiceConfig(port=port))
+    if kind == "router":
+        return RouterThread(_router_config(backend_port, port=port))
+    return ChaosProxyThread(
+        ChaosConfig(upstream=("127.0.0.1", backend_port), port=port)
+    )
+
+
 class TestRepeatedStop:
     """An explicit stop() followed by __exit__'s stop() only joins."""
 
-    @pytest.mark.parametrize("kind", ["server", "router"])
+    @pytest.mark.parametrize("kind", ["server", "router", "chaos"])
     def test_second_stop_returns_promptly(self, kind):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -445,8 +516,22 @@ class TestRepeatedStop:
                 if kind == "server":
                     elapsed = _second_stop_seconds(backend)
                 else:
-                    with RouterThread(_router_config(backend.port)) as rt:
-                        elapsed = _second_stop_seconds(rt)
+                    with _harness(kind, backend.port) as endpoint:
+                        elapsed = _second_stop_seconds(endpoint)
             gc.collect()
         assert elapsed < 1.0
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+class TestStartFailure:
+    @pytest.mark.parametrize("kind", ["server", "router", "chaos"])
+    def test_taken_port_raises_and_leaves_no_thread(self, kind):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            endpoint = _harness(kind, backend_port=port, port=port)
+            with pytest.raises(ServiceError, match="failed to start"):
+                with endpoint:
+                    pass
+        assert not endpoint._thread.is_alive()
