@@ -4,8 +4,12 @@ Batching exists purely for speed: whole blocks of chunks run through
 each stage's 2D kernels in one pass instead of re-entering the Python
 dispatch machinery per chunk (the wire format is unchanged — the
 byte-identity sweep in ``tests/core/test_batched.py`` pins that).  This
-module keeps the speed claim honest: on the speed codecs, batched
-compression must beat the per-chunk loop by >= 2x in geometric mean.
+module keeps the speed claim honest at the pipeline level, where the
+engine's block encoder and decoder spend their time: on the speed
+codecs, ``Pipeline.encode_chunk_batch`` over a block of chunks must
+beat the per-chunk ``Pipeline.encode_chunk`` loop over the same chunks
+by >= 2x in geometric mean, and ``decode_chunk_batch`` must never lose
+to the ``decode_chunk`` loop.
 
 The speed codecs carry the gate because their pipelines are pure kernel
 work (DiffMS -> MPLG), where per-chunk Python overhead dominates; the
@@ -40,7 +44,6 @@ import time
 import numpy as np
 
 from repro.core.codecs import get_codec
-from repro.core.compressor import compress_bytes, decompress_bytes
 
 MIN_GEOMEAN_SPEEDUP = 2.0
 SPEED_CODECS = ("spspeed", "dpspeed")
@@ -63,30 +66,27 @@ def _paired_speedup(fast_fn, slow_fn, runs: int = RUNS) -> float:
     return best_slow / best_fast
 
 
-def _sample(codec) -> bytes:
+def _chunks(codec) -> list[bytes]:
     rng = np.random.default_rng(0xBA7C4)
     n = INPUT_BYTES // codec.dtype.itemsize
-    return np.cumsum(rng.normal(scale=0.01, size=n)).astype(
+    data = np.cumsum(rng.normal(scale=0.01, size=n)).astype(
         codec.dtype
     ).tobytes()
+    return [data[i : i + CHUNK_BYTES] for i in range(0, len(data), CHUNK_BYTES)]
 
 
 class TestBatchedSpeedup:
     def test_compress_geomean_speedup_on_speed_codecs(self):
         speedups = []
         for name in SPEED_CODECS:
-            codec = get_codec(name)
-            data = _sample(codec)
-            assert compress_bytes(
-                data, codec, batch=True, chunk_size=CHUNK_BYTES
-            ) == compress_bytes(data, codec, batch=False, chunk_size=CHUNK_BYTES)
+            pipeline = get_codec(name).make_pipeline()
+            chunks = _chunks(get_codec(name))
+            assert pipeline.encode_chunk_batch(chunks) == [
+                pipeline.encode_chunk(chunk) for chunk in chunks
+            ]
             speedups.append(_paired_speedup(
-                lambda: compress_bytes(
-                    data, codec, batch=True, chunk_size=CHUNK_BYTES
-                ),
-                lambda: compress_bytes(
-                    data, codec, batch=False, chunk_size=CHUNK_BYTES
-                ),
+                lambda: pipeline.encode_chunk_batch(chunks),
+                lambda: [pipeline.encode_chunk(chunk) for chunk in chunks],
             ))
         geomean = math.prod(speedups) ** (1 / len(speedups))
         assert geomean >= MIN_GEOMEAN_SPEEDUP, (
@@ -98,11 +98,15 @@ class TestBatchedSpeedup:
         """Decode batching is a smaller win; gate it at parity."""
         speedups = []
         for name in SPEED_CODECS:
-            codec = get_codec(name)
-            blob = compress_bytes(_sample(codec), codec, chunk_size=CHUNK_BYTES)
+            pipeline = get_codec(name).make_pipeline()
+            chunks = _chunks(get_codec(name))
+            payloads = pipeline.encode_chunk_batch(chunks)
+            lengths = [len(chunk) for chunk in chunks]
+            assert pipeline.decode_chunk_batch(payloads, lengths) == chunks
             speedups.append(_paired_speedup(
-                lambda: decompress_bytes(blob, batch=True),
-                lambda: decompress_bytes(blob, batch=False),
+                lambda: pipeline.decode_chunk_batch(payloads, lengths),
+                lambda: [pipeline.decode_chunk(p, n)
+                         for p, n in zip(payloads, lengths)],
             ))
         geomean = math.prod(speedups) ** (1 / len(speedups))
         assert geomean >= 1.0, (

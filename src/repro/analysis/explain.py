@@ -45,14 +45,14 @@ class StageBreakdown:
 
 
 def explain(data: np.ndarray | bytes, codec: str) -> StageBreakdown:
-    """Compress once with per-chunk tracing and report the size waterfall.
+    """Compress once with tracing and report the size waterfall.
 
     The waterfall shows where a codec earns (or wastes) its bytes: e.g.
     DPratio's FCM stage *doubles* the data before the later stages win it
     back — exactly the behaviour paper §3.2 describes.  The numbers come
     from one real traced engine run (not a re-simulation): the global
     stage's output size, then each chunked stage's output summed over the
-    per-chunk :class:`~repro.core.trace.ChunkTrace` records.
+    block :class:`~repro.core.trace.BatchTrace` records.
     """
     chosen: Codec = get_codec(codec)
     if isinstance(data, np.ndarray):
@@ -65,7 +65,7 @@ def explain(data: np.ndarray | bytes, codec: str) -> StageBreakdown:
     if collector.global_stage is not None:
         event = collector.global_stage
         waterfall.append((event.stage, event.out_bytes))
-    for totals in stage_totals(collector.chunks, collector.batches):
+    for totals in stage_totals(collector.batches):
         waterfall.append((totals.stage, totals.out_bytes))
     return StageBreakdown(
         codec=chosen.name,

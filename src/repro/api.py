@@ -116,8 +116,8 @@ def compress(
         ``workers``.  Output bytes are identical under every policy.
     trace:
         A :class:`~repro.core.trace.TraceCollector` to fill with
-        per-chunk instrumentation (stage timings, stage output sizes,
-        raw-fallback flags, worker assignment).
+        per-block stage timings and output sizes plus per-chunk sizes,
+        raw-fallback flags and worker assignment.
     fcm:
         How a codec's FCM stage runs (DPratio only; ignored elsewhere).
         ``"global"`` (default) is the serial whole-input FCM pass with

@@ -225,18 +225,18 @@ def _cmd_bench_measured(args: argparse.Namespace) -> int:
 
 
 def _bench_trace(data, codec, workers, policies) -> int:
-    """Print per-chunk stage traces (runs under the caller's backend pin)."""
+    """Print block and chunk traces (runs under the caller's backend pin)."""
     from repro.core.trace import TraceCollector
     from repro.metrics import summarize_trace
 
-    # The process policy runs chunks in other address spaces, so
-    # per-chunk traces cannot be collected there; trace the threaded
-    # schedule instead (same batched kernels, same bytes).
+    # The process policy runs blocks in other address spaces, so traces
+    # cannot be collected there; trace the threaded schedule instead
+    # (same blocks, same kernels, same bytes).
     traced_policy = policies[0]
     if traced_policy == "process":
         traced_policy = "threaded"
         print()
-        print("(per-chunk traces are unavailable under the process "
+        print("(traces are unavailable under the process "
               "policy; tracing the threaded schedule instead)")
     collector = TraceCollector()
     repro.compress(data, codec, workers=workers,
@@ -244,19 +244,25 @@ def _bench_trace(data, codec, workers, policies) -> int:
     print()
     print(summarize_trace(collector).render())
     print()
-    header = (f"{'chunk':>5} {'worker':>6} {'in B':>8} {'out B':>8} "
-              f"{'raw':>3} {'ms':>8}  stages (ms, out B)")
+    header = (f"{'block':>5} {'worker':>6} {'first':>5} {'chunks':>6} "
+              f"{'ms':>8}  stages (ms, out B)")
+    print(header)
+    print("-" * len(header))
+    for number, block in enumerate(collector.batches):
+        stages = "  ".join(
+            f"{e.stage}={e.seconds * 1e3:.3f}ms/{e.out_bytes}B"
+            for e in block.stages
+        )
+        print(f"{number:>5} {block.worker:>6} {block.start:>5} "
+              f"{block.n_chunks:>6} {block.seconds * 1e3:>8.3f}  {stages}")
+    print()
+    header = f"{'chunk':>5} {'worker':>6} {'in B':>8} {'out B':>8} {'raw':>3}"
     print(header)
     print("-" * len(header))
     for chunk in collector.chunks:
-        stages = "  ".join(
-            f"{e.stage}={e.seconds * 1e3:.3f}ms/{e.out_bytes}B"
-            for e in chunk.stages
-        )
         print(f"{chunk.index:>5} {chunk.worker:>6} "
               f"{chunk.original_len:>8} {chunk.payload_len:>8} "
-              f"{'y' if chunk.raw_fallback else '-':>3} "
-              f"{chunk.seconds * 1e3:>8.3f}  {stages}")
+              f"{'y' if chunk.raw_fallback else '-':>3}")
     return 0
 
 
@@ -357,7 +363,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
         codecs = args.codec or None
         report = run_fuzz(seed=args.seed, iterations=args.iterations,
-                          codecs=codecs, batched=args.batched)
+                          codecs=codecs)
     print(report.render())
     return 0 if report.ok else 1
 
@@ -752,8 +758,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="workers for measured parallel policies "
                         "(default: CPU count, capped at 8)")
     p.add_argument("--trace", action="store_true",
-                   help="print per-chunk stage timings and sizes from a "
-                        "traced engine run")
+                   help="print per-block stage timings and per-chunk "
+                        "sizes from a traced engine run")
     p.add_argument("--save", default=None, metavar="FILE",
                    help="record a benchmark-trajectory point (codec, stage, "
                         "and kernel throughputs) and write it as JSON")
@@ -810,11 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", action="store_true",
                    help="fuzz the FPRW wire-frame parser instead of the "
                         "container decoder")
-    p.add_argument("--batched", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="route container mutants through the batched "
-                        "decode path (default on; --no-batched pins the "
-                        "per-chunk path)")
     p.set_defaults(func=_cmd_fuzz)
 
     p = sub.add_parser(

@@ -7,16 +7,19 @@ its pool via ``multiprocessing``.  Bulk bytes travel through named
 shared memory; only the small task descriptions and the (compressed)
 results cross the pipe.
 
-Error contract: a failing chunk is reported as ``(index, type_name,
-message)``.  :func:`decode_block` is the engine's one block decoder —
-in-process executor jobs and :func:`proc_decode_block` both run it — so
-a corrupt chunk yields the byte-identical triple under every executor
-policy; the parent rebuilds the exception class from :mod:`repro.errors`
-by name (:func:`rebuild_error`).
+:func:`encode_block` and :func:`decode_block` are the engine's one block
+encoder and one block decoder: in-process executor jobs and the worker
+entry points (:func:`proc_encode_block`, :func:`proc_decode_block`) all
+run them, so failures are attributed identically under every executor
+policy.  A corrupt chunk is reported as an ``(index, type_name,
+message)`` triple; an encode failure as the ``(type_name, message)``
+pair of the exception the lowest failing chunk raised.  The parent
+rebuilds the exception class by name (:func:`rebuild_error`).
 """
 
 from __future__ import annotations
 
+import builtins
 import struct
 from multiprocessing import shared_memory
 
@@ -60,14 +63,16 @@ FOREIGN_ERRORS = (ValueError, TypeError, IndexError, KeyError, OverflowError,
                   ZeroDivisionError, struct.error)
 
 
-def rebuild_error(type_name: str, message: str) -> ReproError:
+def rebuild_error(type_name: str, message: str) -> Exception:
     """Reconstruct a worker-process error in the parent.
 
-    Unknown or non-:class:`ReproError` type names collapse to
-    :class:`CorruptDataError` — the parent never raises a foreign type.
+    The class is looked up by name in :mod:`repro.errors`, then among the
+    built-in exceptions (an encode-side stage failure keeps the type a
+    serial run raises).  Unknown names collapse to
+    :class:`CorruptDataError`.
     """
-    cls = getattr(_errors, type_name, None)
-    if not (isinstance(cls, type) and issubclass(cls, ReproError)):
+    cls = getattr(_errors, type_name, None) or getattr(builtins, type_name, None)
+    if not (isinstance(cls, type) and issubclass(cls, Exception)):
         cls = CorruptDataError
     return cls(message)
 
@@ -115,24 +120,43 @@ def block_crcs(chunk_crcs, jobs) -> list:
     return [chunk_crcs[job.index] for job in jobs]
 
 
+def encode_block(pipeline, chunks, events=None) -> list:
+    """Encode one contiguous block of chunks: the engine's block encoder.
+
+    A block of two or more chunks runs as one ``encode_chunk_batch`` pass
+    (one columnar kernel invocation per stage).  A one-chunk block, and
+    any block whose batched pass raised, runs chunk by chunk through
+    ``encode_chunk``, so the exception that escapes is the one the
+    lowest failing chunk raises on its own — what a serial encode hits
+    first.  Returns the payloads in chunk order.
+    """
+    if len(chunks) >= 2:
+        try:
+            return pipeline.encode_chunk_batch(chunks, events)
+        except Exception:
+            pass  # the per-chunk sweep below raises the serial error
+    return [pipeline.encode_chunk(chunk, events) for chunk in chunks]
+
+
 def decode_block(
-    pipeline, jobs, payloads, lengths, crcs, batch: bool, events=None
+    pipeline, jobs, payloads, lengths, crcs, events=None
 ) -> tuple[list, list]:
     """Decode one contiguous block of chunks: the engine's block decoder.
 
     ``jobs`` are the block's :class:`~repro.core.plan.ChunkJob` entries
     (global chunk index plus container byte window), ``payloads`` their
     payload bytes, ``lengths`` their decoded lengths and ``crcs`` their
-    stored CRCs.  With ``batch`` and at least two chunks, the block first runs
-    as one CRC-verified ``decode_chunk_batch`` pass; any exception there
-    re-runs it chunk by chunk through :func:`decode_chunk_guarded`, which
-    attributes each failure exactly as a serial decode would.
+    stored CRCs.  A block of two or more chunks first runs as one
+    CRC-verified ``decode_chunk_batch`` pass.  A one-chunk block, and any
+    block whose batched pass raised, runs chunk by chunk through
+    :func:`decode_chunk_guarded`, which attributes each failure exactly
+    as a serial decode would.
 
     Returns ``(chunks, errors)``: the decoded chunks (``None`` where one
     failed) and an ``(index, type_name, message)`` triple per failed
     chunk, in ascending index order.
     """
-    if batch and len(jobs) >= 2:
+    if len(jobs) >= 2:
         try:
             for job, payload, crc in zip(jobs, payloads, crcs):
                 verify_chunk_crc(job.index, payload, crc, job.offset, job.end)
@@ -153,51 +177,41 @@ def decode_block(
     return chunks, errors
 
 
-def proc_encode_block(task) -> tuple[list, list]:
-    """Compress one contiguous block of chunks inside a worker process.
+def proc_encode_block(task) -> tuple[list | None, tuple[str, str] | None]:
+    """Run :func:`encode_block` on one block inside a worker process.
 
-    ``task`` is ``(shm_name, codec_name, batch, jobs, fcm_restart)`` with
-    ``jobs`` a list of ``(index, offset, end)`` windows into the shared
-    buffer.  Returns ``(payloads, errors)``; a failed chunk leaves
-    ``None`` in its payload slot.
+    ``task`` is ``(shm_name, codec_name, fcm_restart, windows)`` with
+    ``windows`` the block's ``(offset, end)`` byte windows into the
+    shared buffer.  Returns ``(payloads, None)``, or ``(None, (type_name,
+    message))`` when the block raised.
     """
-    shm_name, codec_name, batch, jobs, fcm_restart = task
+    shm_name, codec_name, fcm_restart, windows = task
     from repro.core.codecs import get_codec
 
     shm = _attach(shm_name)
     try:
         # Copy the windows out so the buffer releases cleanly on close.
-        chunks = [bytes(shm.buf[offset:end]) for _, offset, end in jobs]
+        chunks = [bytes(shm.buf[offset:end]) for offset, end in windows]
     finally:
         shm.close()
     pipeline = get_codec(codec_name).make_pipeline(fcm_restart)
-    if batch and len(chunks) >= 2:
-        try:
-            return pipeline.encode_chunk_batch(chunks), []
-        except Exception:
-            pass  # fall through to the serial sweep for attribution
-    payloads: list = []
-    errors: list[tuple[int, str, str]] = []
-    for (i, _, _), chunk in zip(jobs, chunks):
-        try:
-            payloads.append(pipeline.encode_chunk(chunk))
-        except Exception as exc:
-            payloads.append(None)
-            errors.append((i, type(exc).__name__, str(exc)))
-    return payloads, errors
+    try:
+        return encode_block(pipeline, chunks), None
+    except Exception as exc:
+        return None, (type(exc).__name__, str(exc))
 
 
 def proc_decode_block(task) -> list:
     """Run :func:`decode_block` on one block inside a worker process.
 
-    ``task`` is ``(in_name, out_name, codec_name, fcm_restart, batch,
-    jobs, out_offsets, lengths, crcs)``.  Jobs keep the container's
+    ``task`` is ``(in_name, out_name, codec_name, fcm_restart, jobs,
+    out_offsets, lengths, crcs)``.  Jobs keep the container's
     global chunk index (subset/range plans pass it through for
     attribution); decoded chunks land in the output shared memory at
     their plan-relative prefix-sum offsets.  Returns the error triples
     (empty on success).
     """
-    (in_name, out_name, codec_name, fcm_restart, batch, jobs, out_offsets,
+    (in_name, out_name, codec_name, fcm_restart, jobs, out_offsets,
      lengths, crcs) = task
     from repro.core.codecs import get_codec
 
@@ -207,7 +221,7 @@ def proc_decode_block(task) -> list:
     finally:
         in_shm.close()
     pipeline = get_codec(codec_name).make_pipeline(fcm_restart)
-    chunks, errors = decode_block(pipeline, jobs, payloads, lengths, crcs, batch)
+    chunks, errors = decode_block(pipeline, jobs, payloads, lengths, crcs)
     out_shm = _attach(out_name)
     try:
         for out_offset, length, chunk in zip(out_offsets, lengths, chunks):

@@ -7,13 +7,15 @@ into the two layers §3.1 implies:
   window from prefix sums over the chunk lengths — pure arithmetic, no
   data movement;
 * the **executor** (:mod:`repro.core.executors`) decides *who* runs each
-  chunk job and *when* — serially, through a dynamic worklist of threads
-  (the paper's OpenMP loop), or over a static blocked partition (the
-  CPU analogue of a block-per-chunk GPU launch).  Chunks are independent
-  by construction, so the output bytes are identical under every policy
+  job and *when* — serially, through a dynamic worklist of threads (the
+  paper's OpenMP loop), over a static blocked partition (the CPU
+  analogue of a block-per-chunk GPU launch), or in a process pool.  A
+  job is one contiguous block of chunks, run through the stages'
+  columnar kernels in one pass.  Chunks are independent by
+  construction, so the output bytes are identical under every policy
   and worker count.
 
-The hot path is zero-copy: chunk jobs read ``memoryview`` windows into
+The hot path is zero-copy: block jobs read ``memoryview`` windows into
 the intermediate buffer (no per-chunk slice copies), and the container /
 output buffers are preallocated and filled at the plan's prefix-sum
 offsets instead of ``b"".join``-ing pieces.
@@ -46,9 +48,9 @@ library-controlled ways:
   ranges — one flipped bit costs one chunk, not the file.
 
 Passing a :class:`~repro.core.trace.TraceCollector` as ``trace=``
-records per-chunk instrumentation — stage timings, stage output sizes,
-raw-fallback flags, worker assignment — without touching the untraced
-fast path.
+records per-block stage timings and output sizes plus per-chunk sizes,
+raw-fallback flags and worker assignment, without touching the
+untraced fast path.
 
 A whole-input raw fallback caps worst-case expansion at the container
 header even for adversarial inputs; it is built lazily, only when the
@@ -65,6 +67,7 @@ from repro.core._procwork import (
     FOREIGN_ERRORS,
     block_crcs,
     decode_block,
+    encode_block,
     rebuild_error,
 )
 from repro.core.chunking import CHUNK_RAW, CHUNK_SIZE
@@ -92,13 +95,6 @@ def _run_global_stage(
     out = fn(data)
     trace.global_stage = StageEvent(stage.name, time.perf_counter() - start, len(out))
     return out
-
-
-def _use_batch(batch: bool | None, n_chunks: int) -> bool:
-    """Resolve the ``batch`` knob: default on whenever there is a batch."""
-    if batch is None:
-        return n_chunks >= 2
-    return batch and n_chunks >= 2
 
 
 @contextmanager
@@ -173,123 +169,84 @@ def _plan_chunk_codecs(info: fmt.ContainerInfo, plan, codec: Codec):
     return pairs
 
 
-def _make_encode_worker(codec: Codec, plan, view, trace: TraceCollector | None,
-                        fcm_restart: bool = False):
-    """Per-chunk encode jobs (the non-batched reference path)."""
+def _trace_block(
+    trace: TraceCollector, worker_id: int, jobs, original_lens, payloads,
+    seconds: float, events: list[StageEvent],
+) -> None:
+    """Record one block, in either direction: a :class:`BatchTrace` with
+    its per-stage timings, plus each chunk's sizes and raw-fallback flag."""
+    trace.add_batch(BatchTrace(
+        worker=worker_id,
+        start=jobs[0].index,
+        n_chunks=len(jobs),
+        seconds=seconds,
+        stages=tuple(events),
+    ))
+    for job, original_len, payload in zip(jobs, original_lens, payloads):
+        trace.add(ChunkTrace(
+            index=job.index,
+            worker=worker_id,
+            original_len=original_len,
+            payload_len=len(payload),
+            raw_fallback=len(payload) > 0 and payload[0] == CHUNK_RAW,
+        ))
+
+
+def _encode_plan(
+    codec: Codec, plan, data, engine: Executor, trace: TraceCollector | None,
+    fcm_restart: bool,
+) -> list:
+    """Encode every chunk of ``plan`` over ``data`` — the only encode path.
+
+    Each executor job encodes one contiguous block of chunks (one
+    worker-sized block each) through
+    :func:`~repro.core._procwork.encode_block`, in-process or inside a
+    process-pool worker, so the payload bytes and the error raised are
+    the same under every policy.  Returns the payloads in plan order.
+    """
+    if getattr(engine, "kind", None) == "process":
+        # GIL-free path: ship the buffer through shared memory; block
+        # traces are not collected across the process boundary (the
+        # annotate() metadata still is).
+        return engine.encode_chunks(data, plan, codec.name,
+                                    fcm_restart=fcm_restart)
+    blocks = block_ranges(plan.n_chunks, engine.workers)
+    view = memoryview(data)
 
     def make_worker(worker_id: int):
         pipeline = codec.make_pipeline(fcm_restart)
 
-        def encode_job(i: int) -> bytes:
-            job = plan.jobs[i]
-            chunk = view[job.offset : job.end]
-            if trace is None:
-                return pipeline.encode_chunk(chunk)
-            events: list[StageEvent] = []
+        def encode_job(b: int) -> list:
+            lo, hi = blocks[b]
+            jobs = plan.jobs[lo:hi]
+            chunks = [view[job.offset : job.end] for job in jobs]
+            events: list[StageEvent] | None = None if trace is None else []
             start = time.perf_counter()
-            payload = pipeline.encode_chunk(chunk, events)
-            trace.add(ChunkTrace(
-                index=job.index,
-                worker=worker_id,
-                original_len=job.length,
-                payload_len=len(payload),
-                raw_fallback=payload[0] == CHUNK_RAW,
-                seconds=time.perf_counter() - start,
-                stages=tuple(events),
-            ))
-            return payload
+            payloads = encode_block(pipeline, chunks, events)
+            if trace is not None:
+                _trace_block(trace, worker_id, jobs,
+                             [job.length for job in jobs], payloads,
+                             time.perf_counter() - start, events)
+            return payloads
 
         return encode_job
 
-    return make_worker
+    return [p for block in engine.run(len(blocks), make_worker) for p in block]
 
 
-def _encode_batched_blocks(
-    codec: Codec, plan, view, engine: Executor, trace: TraceCollector | None,
-    fcm_restart: bool = False,
-) -> list:
-    """Encode contiguous chunk blocks through the stages' 2D kernels.
-
-    Each block is one executor job: its chunks run as a single
-    ``encode_chunk_batch`` pass (one kernel invocation per stage).  Any
-    exception inside the batched pass drops the block back to the
-    per-chunk loop, so failures keep serial semantics.
-    """
-    blocks = block_ranges(plan.n_chunks, engine.workers)
-
-    def make_worker(worker_id: int):
-        pipeline = codec.make_pipeline(fcm_restart)
-
-        def encode_block(b: int) -> list:
-            lo, hi = blocks[b]
-            chunks = [
-                view[plan.jobs[i].offset : plan.jobs[i].end]
-                for i in range(lo, hi)
-            ]
-            events: list[StageEvent] = []
-            start = time.perf_counter()
-            try:
-                payloads = pipeline.encode_chunk_batch(
-                    chunks, None if trace is None else events
-                )
-            except Exception:
-                worker = _make_encode_worker(
-                    codec, plan, view, trace, fcm_restart
-                )(worker_id)
-                return [worker(i) for i in range(lo, hi)]
-            if trace is not None:
-                seconds = time.perf_counter() - start
-                trace.add_batch(BatchTrace(
-                    worker=worker_id,
-                    start=plan.jobs[lo].index,
-                    n_chunks=hi - lo,
-                    seconds=seconds,
-                    stages=tuple(events),
-                ))
-                per_chunk = seconds / (hi - lo)
-                for i, payload in zip(range(lo, hi), payloads):
-                    trace.add(ChunkTrace(
-                        index=plan.jobs[i].index,
-                        worker=worker_id,
-                        original_len=plan.jobs[i].length,
-                        payload_len=len(payload),
-                        raw_fallback=payload[0] == CHUNK_RAW,
-                        seconds=per_chunk,
-                        stages=(),
-                        batched=True,
-                    ))
-            return payloads
-
-        return encode_block
-
-    payloads: list = []
-    for block in engine.run(len(blocks), make_worker):
-        payloads.extend(block)
-    return payloads
-
-
-def _compress_selector(
-    data: bytes,
-    codec: Codec,
-    *,
-    chunk_size: int,
-    dtype_code: int,
-    shape: tuple[int, ...] | None,
-    crc: int | None,
-    chunk_checksums: bool,
-    engine: Executor,
-    trace: TraceCollector | None,
-    batch: bool | None,
-    selector,
-) -> bytes:
+def _encode_selected(
+    data: bytes, chunk_size: int, dtype_code: int, engine: Executor,
+    trace: TraceCollector | None, selector,
+) -> tuple[list, list[int]]:
     """Encode under the adaptive selector: probe, choose, group, route.
 
     Selection runs once, up front, on the calling thread — the chosen
-    codec table is therefore identical under every executor policy and
-    batch setting, and the payload bytes inherit the fixed codecs' own
-    executor independence.  Same-decision chunks are grouped into subset
-    plans so the columnar ``encode_chunk_batch`` kernels still engage,
-    then the payloads scatter back to container order.
+    codec table is therefore identical under every executor policy, and
+    the payload bytes inherit the fixed codecs' own executor
+    independence.  Same-decision chunks are grouped into subset plans so
+    the columnar ``encode_chunk_batch`` kernels still engage, then the
+    payloads scatter back to container order.  Returns the payloads and
+    the per-chunk codec ids.
     """
     from repro.core.codecs import selection_candidates
     from repro.selection import get_policy, probe_chunks
@@ -298,14 +255,12 @@ def _compress_selector(
     candidates = selection_candidates(dtype_code)
     plan = plan_encode(len(data), chunk_size)
     view = memoryview(data)
-    chunks = [view[job.offset : job.end] for job in plan.jobs]
-    probes = probe_chunks(chunks, candidates, with_stats=False)
-    choices = [policy.choose(p, candidates) for p in probes]
-    if trace is not None:
-        trace.annotate(selector=policy.name)
+    probes = probe_chunks([view[job.offset : job.end] for job in plan.jobs],
+                          candidates, with_stats=False)
+    choices = [policy.choose(p, candidates).codec_id for p in probes]
     groups: dict[int, list[int]] = {}
-    for i, member in enumerate(choices):
-        groups.setdefault(member.codec_id, []).append(i)
+    for i, cid in enumerate(choices):
+        groups.setdefault(cid, []).append(i)
     payloads: list = [None] * plan.n_chunks
     for cid in sorted(groups):
         member = codec_by_id(cid)
@@ -318,41 +273,10 @@ def _compress_selector(
         # v4 contract: a member's global FCM stage runs restart-framed
         # inside the chunk pipeline, so every chunk stays independent.
         restart = member.global_stage_factory is not None
-        batched = _use_batch(batch, subplan.n_chunks)
-        if getattr(engine, "kind", None) == "process":
-            group_payloads = engine.encode_chunks(
-                data, subplan, member.name, batched, fcm_restart=restart
-            )
-        elif batched:
-            group_payloads = _encode_batched_blocks(
-                member, subplan, view, engine, trace, restart
-            )
-        else:
-            group_payloads = engine.run(
-                subplan.n_chunks,
-                _make_encode_worker(member, subplan, view, trace, restart),
-            )
-        for i, payload in zip(indices, group_payloads):
+        group = _encode_plan(member, subplan, data, engine, trace, restart)
+        for i, payload in zip(indices, group):
             payloads[i] = payload
-    blob = fmt.build_container(
-        codec_id=codec.codec_id,
-        dtype_code=dtype_code,
-        original_len=len(data),
-        intermediate_len=len(data),
-        chunk_size=chunk_size,
-        chunk_payloads=payloads,
-        shape=shape,
-        checksum=crc,
-        chunk_crcs=chunk_checksums,
-        chunk_codecs=[member.codec_id for member in choices],
-    )
-    raw_size = fmt.raw_container_size(len(data), shape=shape, checksum=crc)
-    if raw_size < len(blob):
-        return fmt.build_raw_container(
-            codec_id=codec.codec_id, dtype_code=dtype_code, data=data,
-            shape=shape, checksum=crc,
-        )
-    return blob
+    return payloads, choices
 
 
 def compress_bytes(
@@ -367,7 +291,6 @@ def compress_bytes(
     chunk_checksums: bool = fmt.DEFAULT_CHUNK_CHECKSUMS,
     executor: str | Executor | None = None,
     trace: TraceCollector | None = None,
-    batch: bool | None = None,
     fcm: str = "global",
     selector=None,
 ) -> bytes:
@@ -388,18 +311,18 @@ def compress_bytes(
     ``executor`` selects the scheduling policy (``"serial"``,
     ``"threaded"``, ``"static-blocks"``, ``"process"``, or a prebuilt
     :class:`~repro.core.executors.Executor`); when omitted, ``workers``
-    picks serial (1) or the threaded worklist (>1).  ``batch`` controls
-    columnar chunk batching — each worker runs whole *blocks* of chunks
-    through the stages' 2D kernels instead of one chunk at a time; the
-    default (``None``) batches whenever the input spans at least two
-    chunks.  Batching never changes output bytes.  ``checksum``
+    picks serial (1) or the threaded worklist (>1).  Every policy runs
+    the same unit of work: one contiguous block of chunks per worker,
+    encoded through the stages' columnar kernels in one pass (a
+    one-chunk block runs the per-chunk path).  Output bytes never depend
+    on the policy or the worker count.  ``checksum``
     embeds a CRC32 of the original data (verified end to end on
     decompression) and ``chunk_checksums`` a CRC32 per chunk payload
     (container v2; localises corruption to one chunk and enables
     salvage-mode recovery); both default to the documented
     :data:`repro.core.container.DEFAULT_CHECKSUM` /
     :data:`~repro.core.container.DEFAULT_CHUNK_CHECKSUMS`.  ``trace``
-    collects per-chunk instrumentation.
+    collects per-block stage timings and per-chunk sizes.
 
     When ``codec`` is the adaptive selector (``auto``), every chunk is
     probed and routed to the best fixed codec for its statistics and the
@@ -416,40 +339,26 @@ def compress_bytes(
             codec.dtype.itemsize, fmt.DTYPE_BYTES
         )
     crc = fmt.checksum_of(data) if checksum else None
+    intermediate = data
+    restart = False
+    chunk_codecs = None
     with _resolved_engine(executor, workers) as engine:
         if trace is not None:
             trace.annotate(policy=engine.policy, workers=engine.workers,
                            direction="compress")
         if codec.selector:
-            return _compress_selector(
-                data, codec, chunk_size=chunk_size, dtype_code=dtype_code,
-                shape=shape, crc=crc, chunk_checksums=chunk_checksums,
-                engine=engine, trace=trace, batch=batch, selector=selector,
+            payloads, chunk_codecs = _encode_selected(
+                data, chunk_size, dtype_code, engine, trace, selector
             )
-        restart = fcm == "restart" and codec.global_stage_factory is not None
-        global_stage = None if restart else codec.make_global_stage()
-        if global_stage is not None:
-            intermediate = _run_global_stage(global_stage, "encode", data, trace)
         else:
-            intermediate = data
-        plan = plan_encode(len(intermediate), chunk_size)
-        view = memoryview(intermediate)
-        batched = _use_batch(batch, plan.n_chunks)
-        if getattr(engine, "kind", None) == "process":
-            # GIL-free path: ship the intermediate buffer through shared
-            # memory; per-chunk trace records are not collected across
-            # the process boundary (the annotate() metadata still is).
-            payloads = engine.encode_chunks(
-                intermediate, plan, codec.name, batched, fcm_restart=restart
-            )
-        elif batched:
-            payloads = _encode_batched_blocks(codec, plan, view, engine,
-                                              trace, restart)
-        else:
-            payloads = engine.run(
-                plan.n_chunks,
-                _make_encode_worker(codec, plan, view, trace, restart),
-            )
+            restart = fcm == "restart" and codec.global_stage_factory is not None
+            global_stage = None if restart else codec.make_global_stage()
+            if global_stage is not None:
+                intermediate = _run_global_stage(global_stage, "encode", data,
+                                                 trace)
+            plan = plan_encode(len(intermediate), chunk_size)
+            payloads = _encode_plan(codec, plan, intermediate, engine, trace,
+                                    restart)
     blob = fmt.build_container(
         codec_id=codec.codec_id,
         dtype_code=dtype_code,
@@ -461,6 +370,7 @@ def compress_bytes(
         checksum=crc,
         chunk_crcs=chunk_checksums,
         fcm_restart=restart,
+        chunk_codecs=chunk_codecs,
     )
     # Whole-input fallback: never hand back a container larger than raw.
     # Built lazily — compression usually wins, and the fallback copies
@@ -515,34 +425,6 @@ def _check_geometry(info: fmt.ContainerInfo, codec: Codec) -> None:
             )
 
 
-def _trace_decode_block(
-    trace: TraceCollector, worker_id: int, plan, lo: int, hi: int,
-    payloads, seconds: float, events: list[StageEvent],
-) -> None:
-    """Record one decoded block: a single chunk keeps its stage timings,
-    a batched block gets a :class:`BatchTrace` plus even-split chunks."""
-    batched = hi - lo > 1
-    if batched:
-        trace.add_batch(BatchTrace(
-            worker=worker_id,
-            start=plan.jobs[lo].index,
-            n_chunks=hi - lo,
-            seconds=seconds,
-            stages=tuple(events),
-        ))
-    for i, payload in zip(range(lo, hi), payloads):
-        trace.add(ChunkTrace(
-            index=plan.jobs[i].index,
-            worker=worker_id,
-            original_len=plan.out_lengths[i],
-            payload_len=plan.jobs[i].length,
-            raw_fallback=len(payload) > 0 and payload[0] == CHUNK_RAW,
-            seconds=seconds / (hi - lo),
-            stages=() if batched else tuple(events),
-            batched=batched,
-        ))
-
-
 def _decode_plan(
     codec: Codec,
     info: fmt.ContainerInfo,
@@ -550,15 +432,14 @@ def _decode_plan(
     blob,
     engine: Executor,
     trace: TraceCollector | None,
-    batched: bool,
     salvage: bool,
 ) -> tuple[bytes | bytearray, list[tuple[int, str, str]]]:
     """Decode every chunk of ``plan`` into one buffer — the only decode path.
 
     Write positions are known a priori (§3.1), so each executor job
-    decodes one contiguous block of chunks (one worker-sized block each
-    when ``batched``, one chunk otherwise) straight into a preallocated
-    buffer at the plan's prefix-sum offsets.  Every block runs
+    decodes one contiguous block of chunks (one worker-sized block each)
+    straight into a preallocated buffer at the plan's prefix-sum
+    offsets.  Every block runs
     :func:`~repro.core._procwork.decode_block`, in-process or inside a
     process-pool worker, so failures are attributed identically under
     every policy.
@@ -570,15 +451,12 @@ def _decode_plan(
     """
     if getattr(engine, "kind", None) == "process":
         out, errors = engine.decode_chunks(
-            blob, plan, codec.name, info.chunk_crcs, batched,
+            blob, plan, codec.name, info.chunk_crcs,
             fcm_restart=info.fcm_restart,
             chunk_codecs=_plan_chunk_codecs(info, plan, codec),
         )
     else:
-        if batched:
-            blocks = block_ranges(plan.n_chunks, engine.workers)
-        else:
-            blocks = [(i, i + 1) for i in range(plan.n_chunks)]
+        blocks = block_ranges(plan.n_chunks, engine.workers)
         if info.chunk_codecs is not None:
             # A block runs one pipeline, so it must not straddle a codec
             # change in the v4 per-chunk table.
@@ -600,11 +478,11 @@ def _decode_plan(
                 chunks, errors = decode_block(
                     resolve(jobs[0].index), jobs, payloads,
                     plan.out_lengths[lo:hi], block_crcs(info.chunk_crcs, jobs),
-                    batched, events,
+                    events,
                 )
                 if trace is not None and not errors:
-                    _trace_decode_block(trace, worker_id, plan, lo, hi, payloads,
-                                        time.perf_counter() - start, events)
+                    _trace_block(trace, worker_id, jobs, plan.out_lengths[lo:hi],
+                                 payloads, time.perf_counter() - start, events)
                 for i, chunk in zip(range(lo, hi), chunks):
                     if chunk is not None:
                         offset = plan.out_offsets[i]
@@ -665,7 +543,6 @@ def decompress_bytes(
     executor: str | Executor | None = None,
     trace: TraceCollector | None = None,
     errors: str = "raise",
-    batch: bool | None = None,
 ):
     """Decompress a container; returns the original bytes plus its metadata.
 
@@ -687,7 +564,7 @@ def decompress_bytes(
     _check_geometry(info, codec)
     if salvage:
         return _decompress_salvage(blob, info, codec, workers=workers,
-                                   executor=executor, trace=trace, batch=batch)
+                                   executor=executor, trace=trace)
     if info.raw_fallback:
         data = bytes(memoryview(blob)[info.payload_offset :])
         if info.checksum is not None and fmt.checksum_of(data) != info.checksum:
@@ -701,7 +578,7 @@ def decompress_bytes(
                            direction="decompress")
         plan = plan_decode(info)
         out, _ = _decode_plan(codec, info, plan, blob, engine, trace,
-                              _use_batch(batch, plan.n_chunks), salvage=False)
+                              salvage=False)
     intermediate = bytes(out)
     global_stage = None if info.fcm_restart else codec.make_global_stage()
     if global_stage is not None:
@@ -746,7 +623,6 @@ def decompress_range_bytes(
     executor: str | Executor | None = None,
     trace: TraceCollector | None = None,
     errors: str = "raise",
-    batch: bool | None = None,
 ):
     """Decode only the bytes ``[start, stop)`` of a container's original data.
 
@@ -793,7 +669,7 @@ def decompress_range_bytes(
         if salvage:
             data, _, full = _decompress_salvage(
                 blob, info, codec, workers=workers, executor=executor,
-                trace=trace, batch=batch,
+                trace=trace,
             )
             report = SalvageReport(
                 n_chunks=full.n_chunks,
@@ -809,7 +685,7 @@ def decompress_range_bytes(
             )
             return data[start:stop], info, report
         data, _ = decompress_bytes(blob, workers=workers, executor=executor,
-                                   trace=trace, batch=batch)
+                                   trace=trace)
         return data[start:stop], info
     rplan = plan_for_range(info, start, stop)
     plan = rplan.plan
@@ -818,7 +694,7 @@ def decompress_range_bytes(
             trace.annotate(policy=engine.policy, workers=engine.workers,
                            direction="decompress-range")
         out, failed = _decode_plan(codec, info, plan, blob, engine, trace,
-                                   _use_batch(batch, plan.n_chunks), salvage)
+                                   salvage)
     lo, hi = rplan.trim
     data = bytes(out[lo:hi])
     if not salvage:
@@ -854,7 +730,6 @@ def _decompress_salvage(
     workers: int = 1,
     executor: str | Executor | None = None,
     trace: TraceCollector | None = None,
-    batch: bool | None = None,
 ) -> tuple[bytes, fmt.ContainerInfo, SalvageReport]:
     """Best-effort decode: recover every verifiable chunk, map the rest."""
     notes: list[str] = []
@@ -881,7 +756,7 @@ def _decompress_salvage(
                            direction="salvage")
         plan = plan_decode(info)
         out, failed = _decode_plan(codec, info, plan, blob, engine, trace,
-                                   _use_batch(batch, plan.n_chunks), salvage=True)
+                                   salvage=True)
     # Contained: failed windows stay zero-filled, and each failure is
     # reported with both its payload and output coordinates.
     failures = _chunk_failures(failed, plan, info, codec)

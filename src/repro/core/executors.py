@@ -101,8 +101,8 @@ def block_ranges(n_jobs: int, workers: int) -> list[tuple[int, int]]:
 def split_ranges(blocks, keys) -> list[tuple[int, int]]:
     """Split ``[lo, hi)`` blocks wherever ``keys[i]`` changes.
 
-    Used to make blocks codec-homogeneous (v4 containers): a batched
-    block runs one pipeline.  Ascending contiguity is preserved.
+    Used to make blocks codec-homogeneous (v4 containers): a block
+    runs one pipeline.  Ascending contiguity is preserved.
     """
     out = []
     for lo, hi in blocks:
@@ -375,12 +375,13 @@ class SharedMemoryProcessExecutor(Executor):
     memory* (one copy in, one copy out — no per-chunk pickling of bulk
     data).  The engine routes its compress/decompress block jobs through
     :meth:`encode_chunks` / :meth:`decode_chunks`; both honour the
-    engine contracts — output bytes identical to serial, and per-chunk
-    failures cross the process boundary as ``(index, type_name,
-    message)`` triples produced by the same block decoder the in-process
-    engine runs.  :meth:`encode_chunks` re-raises the lowest-indexed
-    failure (rebuilt from :mod:`repro.errors`); :meth:`decode_chunks`
-    returns its triples so the engine can raise (strict) or salvage.
+    engine contracts — output bytes identical to serial, and failures
+    cross the process boundary by type name and message, produced by the
+    same block encoder and decoder the in-process engine runs.
+    :meth:`encode_chunks` re-raises the lowest failing chunk's exception
+    (rebuilt by :func:`~repro.core._procwork.rebuild_error`);
+    :meth:`decode_chunks` returns its ``(index, type_name, message)``
+    triples so the engine can raise (strict) or salvage.
 
     The generic :meth:`run` cannot ship arbitrary closures to another
     process; it degrades to an in-process serial sweep, keeping every
@@ -409,7 +410,7 @@ class SharedMemoryProcessExecutor(Executor):
         # Arbitrary job closures are not picklable; run them here instead.
         return SerialExecutor.run(self, n_jobs, make_worker)
 
-    def encode_chunks(self, data, plan, codec_name: str, batch: bool,
+    def encode_chunks(self, data, plan, codec_name: str,
                       fcm_restart: bool = False) -> list:
         """Compress every chunk of ``plan`` over ``data``; payload list."""
         from multiprocessing import shared_memory
@@ -423,38 +424,26 @@ class SharedMemoryProcessExecutor(Executor):
         shm = shared_memory.SharedMemory(create=True, size=max(1, len(data)))
         try:
             shm.buf[: len(data)] = data
-            blocks = block_ranges(plan.n_chunks, self.workers)
             tasks = [
-                (
-                    shm.name,
-                    codec_name,
-                    batch,
-                    [
-                        (plan.jobs[i].index, plan.jobs[i].offset,
-                         plan.jobs[i].end)
-                        for i in range(lo, hi)
-                    ],
-                    fcm_restart,
-                )
-                for lo, hi in blocks
+                (shm.name, codec_name, fcm_restart,
+                 [(job.offset, job.end) for job in plan.jobs[lo:hi]])
+                for lo, hi in block_ranges(plan.n_chunks, self.workers)
             ]
-            payloads: list = [None] * plan.n_chunks
-            errors: list[tuple[int, str, str]] = []
-            for (lo, hi), (block_payloads, block_errors) in zip(
-                blocks, pool.map(_procwork.proc_encode_block, tasks)
-            ):
-                payloads[lo:hi] = block_payloads
-                errors.extend(block_errors)
-            if errors:
-                index, type_name, msg = min(errors, key=lambda e: e[0])
-                raise _procwork.rebuild_error(type_name, msg)
+            payloads: list = []
+            # Blocks are ascending, so the first failing block holds the
+            # lowest failing chunk: the error a serial run raises.
+            for block_payloads, error in pool.map(_procwork.proc_encode_block,
+                                                  tasks):
+                if error is not None:
+                    raise _procwork.rebuild_error(*error)
+                payloads.extend(block_payloads)
             return payloads
         finally:
             shm.close()
             shm.unlink()
 
     def decode_chunks(
-        self, blob, plan, codec_name: str, chunk_crcs, batch: bool,
+        self, blob, plan, codec_name: str, chunk_crcs,
         fcm_restart: bool = False, chunk_codecs=None,
     ) -> tuple[bytes, list]:
         """Decode every chunk of ``plan`` out of ``blob``.
@@ -495,7 +484,6 @@ class SharedMemoryProcessExecutor(Executor):
                     out_shm.name,
                     *((codec_name, fcm_restart) if chunk_codecs is None
                       else chunk_codecs[lo]),
-                    batch,
                     plan.jobs[lo:hi],
                     plan.out_offsets[lo:hi],
                     plan.out_lengths[lo:hi],

@@ -7,10 +7,15 @@ whose transformed body is not smaller than the original is emitted raw.
 
 Pipelines honour the zero-copy contract of :mod:`repro.stages`: chunk
 inputs may be ``memoryview``\\ s into a larger buffer, and the optional
-``events`` argument of :meth:`Pipeline.encode_chunk` /
-:meth:`Pipeline.decode_chunk` records one :class:`~repro.core.trace.StageEvent`
-per stage (time spent, bytes left behind) for the engine's per-chunk
-instrumentation.
+``events`` argument of every method records one
+:class:`~repro.core.trace.StageEvent` per stage (time spent, bytes left
+behind) for the engine's block instrumentation.
+
+Each operation exists per chunk and batched.  The batched methods run
+the stages' columnar kernels over a whole block of chunks at once; the
+per-chunk methods run :meth:`Stage.encode`/:meth:`Stage.decode`, the
+reference the batch kernels are tested against.  Both share the
+chunk-flag framing (:func:`_frame`, :func:`_unframe`, :func:`_checked`).
 """
 
 from __future__ import annotations
@@ -24,6 +29,54 @@ from repro.errors import CorruptDataError
 from repro.stages import ByteLike, Stage
 
 
+def _run_stages(stages, method: str, data, events, out_bytes):
+    """Apply ``method`` of each stage in turn, recording one event per
+    stage when ``events`` is given (``out_bytes`` sizes its output)."""
+    for stage in stages:
+        fn = getattr(stage, method)
+        if events is None:
+            data = fn(data)
+        else:
+            start = time.perf_counter()
+            data = fn(data)
+            events.append(
+                StageEvent(stage.name, time.perf_counter() - start, out_bytes(data))
+            )
+    return data
+
+
+def _batch_bytes(data: list) -> int:
+    return sum(len(d) for d in data)
+
+
+def _frame(chunk: ByteLike, body: bytes) -> bytes:
+    """One chunk's payload: the flagged body, or the raw chunk when the
+    transformed body did not shrink it."""
+    if len(body) >= len(chunk):
+        return bytes([CHUNK_RAW]) + chunk
+    return bytes([CHUNK_COMPRESSED]) + body
+
+
+def _unframe(payload: ByteLike) -> tuple[bool, ByteLike]:
+    """Split a chunk payload into ``(is_raw, body)``; rejects empty
+    payloads and unknown flags."""
+    if not len(payload):
+        raise CorruptDataError("empty chunk payload")
+    flag = payload[0]
+    if flag not in (CHUNK_RAW, CHUNK_COMPRESSED):
+        raise CorruptDataError(f"unknown chunk flag {flag}")
+    return flag == CHUNK_RAW, payload[1:]
+
+
+def _checked(chunk: bytes, original_len: int) -> bytes:
+    """Reject a decoded chunk whose length is not the declared one."""
+    if len(chunk) != original_len:
+        raise CorruptDataError(
+            f"chunk decoded to {len(chunk)} bytes, expected {original_len}"
+        )
+    return chunk
+
+
 class Pipeline:
     """An ordered chain of reversible stages."""
 
@@ -33,38 +86,16 @@ class Pipeline:
         self.stages = list(stages)
 
     def encode(self, data: ByteLike, events: list[StageEvent] | None = None) -> bytes:
-        for stage in self.stages:
-            if events is None:
-                data = stage.encode(data)
-            else:
-                start = time.perf_counter()
-                data = stage.encode(data)
-                events.append(
-                    StageEvent(stage.name, time.perf_counter() - start, len(data))
-                )
-        return data
+        return _run_stages(self.stages, "encode", data, events, len)
 
     def decode(self, data: ByteLike, events: list[StageEvent] | None = None) -> bytes:
-        for stage in reversed(self.stages):
-            if events is None:
-                data = stage.decode(data)
-            else:
-                start = time.perf_counter()
-                data = stage.decode(data)
-                events.append(
-                    StageEvent(stage.name, time.perf_counter() - start, len(data))
-                )
-        return data
+        return _run_stages(reversed(self.stages), "decode", data, events, len)
 
     def encode_chunk(
         self, chunk: ByteLike, events: list[StageEvent] | None = None
     ) -> bytes:
         """Transform one chunk, falling back to raw storage on expansion."""
-        body = self.encode(chunk, events)
-        if len(body) >= len(chunk):
-            original = chunk if isinstance(chunk, bytes) else bytes(chunk)
-            return bytes([CHUNK_RAW]) + original
-        return bytes([CHUNK_COMPRESSED]) + body
+        return _frame(chunk, self.encode(chunk, events))
 
     def decode_chunk(
         self,
@@ -73,20 +104,9 @@ class Pipeline:
         events: list[StageEvent] | None = None,
     ) -> bytes:
         """Invert :meth:`encode_chunk`; validates the recovered length."""
-        if not len(payload):
-            raise CorruptDataError("empty chunk payload")
-        flag, body = payload[0], payload[1:]
-        if flag == CHUNK_RAW:
-            chunk = body if isinstance(body, bytes) else bytes(body)
-        elif flag == CHUNK_COMPRESSED:
-            chunk = self.decode(body, events)
-        else:
-            raise CorruptDataError(f"unknown chunk flag {flag}")
-        if len(chunk) != original_len:
-            raise CorruptDataError(
-                f"chunk decoded to {len(chunk)} bytes, expected {original_len}"
-            )
-        return chunk
+        raw, body = _unframe(payload)
+        chunk = bytes(body) if raw else self.decode(body, events)
+        return _checked(chunk, original_len)
 
     # -- batched execution ------------------------------------------------
 
@@ -98,54 +118,21 @@ class Pipeline:
         With ``events``, one :class:`StageEvent` per stage is recorded with
         the batch's total output bytes.
         """
-        data = list(chunks)
-        for stage in self.stages:
-            if events is None:
-                data = stage.encode_batch(data)
-            else:
-                start = time.perf_counter()
-                data = stage.encode_batch(data)
-                events.append(
-                    StageEvent(
-                        stage.name,
-                        time.perf_counter() - start,
-                        sum(len(d) for d in data),
-                    )
-                )
-        return data
+        return _run_stages(self.stages, "encode_batch", list(chunks), events,
+                           _batch_bytes)
 
     def decode_batch(
         self, payloads: list, events: list[StageEvent] | None = None
     ) -> list[bytes]:
-        data = list(payloads)
-        for stage in reversed(self.stages):
-            if events is None:
-                data = stage.decode_batch(data)
-            else:
-                start = time.perf_counter()
-                data = stage.decode_batch(data)
-                events.append(
-                    StageEvent(
-                        stage.name,
-                        time.perf_counter() - start,
-                        sum(len(d) for d in data),
-                    )
-                )
-        return data
+        return _run_stages(reversed(self.stages), "decode_batch", list(payloads),
+                           events, _batch_bytes)
 
     def encode_chunk_batch(
         self, chunks: list, events: list[StageEvent] | None = None
     ) -> list[bytes]:
         """Batched :meth:`encode_chunk`: per-chunk raw fallback still applies."""
         bodies = self.encode_batch(chunks, events)
-        out: list[bytes] = []
-        for chunk, body in zip(chunks, bodies):
-            if len(body) >= len(chunk):
-                original = chunk if isinstance(chunk, bytes) else bytes(chunk)
-                out.append(bytes([CHUNK_RAW]) + original)
-            else:
-                out.append(bytes([CHUNK_COMPRESSED]) + body)
-        return out
+        return [_frame(chunk, body) for chunk, body in zip(chunks, bodies)]
 
     def decode_chunk_batch(
         self,
@@ -163,24 +150,15 @@ class Pipeline:
         compressed_idx: list[int] = []
         bodies: list[ByteLike] = []
         for i, payload in enumerate(payloads):
-            if not len(payload):
-                raise CorruptDataError("empty chunk payload")
-            flag, body = payload[0], payload[1:]
-            if flag == CHUNK_RAW:
-                chunks[i] = body if isinstance(body, bytes) else bytes(body)
-            elif flag == CHUNK_COMPRESSED:
+            raw, body = _unframe(payload)
+            if raw:
+                chunks[i] = bytes(body)
+            else:
                 compressed_idx.append(i)
                 bodies.append(body)
-            else:
-                raise CorruptDataError(f"unknown chunk flag {flag}")
         for i, chunk in zip(compressed_idx, self.decode_batch(bodies, events)):
             chunks[i] = chunk
-        for i, chunk in enumerate(chunks):
-            if len(chunk) != original_lens[i]:
-                raise CorruptDataError(
-                    f"chunk decoded to {len(chunk)} bytes, expected {original_lens[i]}"
-                )
-        return chunks
+        return [_checked(c, n) for c, n in zip(chunks, original_lens)]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         names = " -> ".join(stage.name for stage in self.stages)

@@ -1,17 +1,20 @@
-"""Per-chunk execution traces: the engine's instrumentation layer.
+"""Block and chunk execution traces: the engine's instrumentation layer.
 
 FCBench-style cross-codec comparisons live or die on consistent
 measurement plumbing, and adaptive codec selection needs to *observe*
 what each chunk actually cost.  The engine therefore threads an optional
-:class:`TraceCollector` through every executor: when present, each chunk
-job records one :class:`ChunkTrace` — which worker ran it, how long each
-stage took, how many bytes each stage left behind, and whether the chunk
-fell back to raw storage.
+:class:`TraceCollector` through every executor.  The engine's unit of
+work is a contiguous block of chunks, so when a collector is present
+each block job records one :class:`BatchTrace` — which worker ran it,
+how long it took, and how long each stage took and how many bytes it
+left behind — plus one :class:`ChunkTrace` per chunk with the chunk's
+sizes and whether it fell back to raw storage.
 
 Traces are collected lock-free: ``list.append`` is atomic under the GIL
-and each chunk produces exactly one record, so workers on any executor
-policy can share one collector.  Records arrive in completion order;
-:attr:`TraceCollector.chunks` returns them sorted by chunk index.
+and each block and chunk produces exactly one record, so workers on any
+executor policy can share one collector.  Records arrive in completion
+order; :attr:`TraceCollector.chunks` and :attr:`TraceCollector.batches`
+return them sorted by chunk index.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class StageEvent:
-    """One stage's contribution to one chunk (or the global stage)."""
+    """One stage's contribution to one block (or the global stage)."""
 
     stage: str
     seconds: float
@@ -30,39 +33,32 @@ class StageEvent:
 
 @dataclass(frozen=True)
 class ChunkTrace:
-    """Everything the engine observed while processing one chunk."""
+    """One chunk's sizes; its timings live on its block's :class:`BatchTrace`."""
 
     index: int
     worker: int
     original_len: int
     payload_len: int
     raw_fallback: bool
-    seconds: float
-    #: per-stage (name, seconds, output size), in execution order —
-    #: pipeline order when encoding, reverse order when decoding.
-    stages: tuple[StageEvent, ...]
-    #: True when the chunk ran inside a batched block; its ``seconds`` is
-    #: then the block time divided evenly and ``stages`` is empty (the
-    #: per-stage timings live on the block's :class:`BatchTrace`).
-    batched: bool = False
 
 
 @dataclass(frozen=True)
 class BatchTrace:
-    """One batched block of contiguous chunks processed in a single pass."""
+    """One block of contiguous chunks processed as one executor job."""
 
     worker: int
     #: index of the block's first chunk.
     start: int
     n_chunks: int
     seconds: float
-    #: per-stage (name, seconds, total output bytes across the batch),
-    #: in execution order.
+    #: per-stage (name, seconds, total output bytes across the block),
+    #: in execution order — pipeline order when encoding, reverse order
+    #: when decoding.
     stages: tuple[StageEvent, ...]
 
 
 class TraceCollector:
-    """Accumulates chunk traces from one compress or decompress call.
+    """Accumulates block and chunk traces from one compress or decompress call.
 
     Use one collector per engine call; the engine annotates it with the
     executor policy, worker count, and direction it ran under.
@@ -95,7 +91,7 @@ class TraceCollector:
 
     @property
     def batches(self) -> tuple[BatchTrace, ...]:
-        """Batched-block traces in first-chunk order."""
+        """Block traces in first-chunk order."""
         return tuple(sorted(self._batches, key=lambda t: t.start))
 
     @property

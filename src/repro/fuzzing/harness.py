@@ -238,14 +238,12 @@ def run_fuzz(
     codecs=None,
     mutators=None,
     on_progress=None,
-    batched: bool = True,
 ) -> FuzzReport:
     """Run the harness; returns a :class:`FuzzReport` (ok == no failures).
 
-    ``batched`` routes every mutant through the engine's batched decode
-    path (``batch=True``), so the 2D stage kernels face the same hostile
-    inputs the per-chunk path does; ``batched=False`` pins the serial
-    per-chunk path instead.
+    Every mutant runs through the engine's block decoder, so the batched
+    stage kernels face the hostile inputs first and the per-chunk sweep
+    faces every block they reject.
     """
     cases = build_corpus(seed, codecs=codecs)
     mutator_names = sorted(mutators) if mutators else sorted(MUTATORS)
@@ -255,8 +253,7 @@ def run_fuzz(
         case = cases[int(rng.integers(0, len(cases)))]
         mutator = mutator_names[int(rng.integers(0, len(mutator_names)))]
         mutant = mutate(case.blob, mutator, rng)
-        outcome = _probe(case, mutator, mutant, iteration, report,
-                         batched=batched)
+        outcome = _probe(case, mutator, mutant, iteration, report)
         report.outcomes[outcome] += 1
         if on_progress is not None:
             on_progress(iteration + 1, iterations)
@@ -279,8 +276,6 @@ def _probe(
     mutant: bytes,
     iteration: int,
     report: FuzzReport,
-    *,
-    batched: bool = True,
 ) -> str:
     def fail(kind: str, detail: str) -> None:
         report.failures.append(FuzzFailure(
@@ -296,7 +291,7 @@ def _probe(
     # Invariant 1: strict decode returns or raises ReproError, nothing else.
     outcome = "rejected"
     try:
-        data, _ = decompress_bytes(mutant, batch=batched)
+        data, _ = decompress_bytes(mutant)
         outcome = "decoded-intact" if data == case.data else "decoded-differs"
     except ReproError:
         pass
@@ -327,9 +322,7 @@ def _probe(
         and (len(changed) == 0 or int(changed.min()) >= case.payload_offset)
     )
     try:
-        data, _, salvage = decompress_bytes(
-            mutant, errors="salvage", batch=batched
-        )
+        data, _, salvage = decompress_bytes(mutant, errors="salvage")
     except ReproError as exc:
         if payload_only:
             fail("salvage-rejected",

@@ -5,10 +5,11 @@ The paper times the median of five identical runs and excludes I/O
 resulting numbers quantify this reproduction's own speed and are
 reported alongside — never mixed with — the device-model throughputs.
 
-The second half of this module aggregates the engine's per-chunk
-:class:`~repro.core.trace.ChunkTrace` records (stage timings, stage
-output sizes, raw-fallback counts) into summaries — the consistent
-measurement plumbing a credible cross-codec comparison needs.
+The second half of this module aggregates the engine's block traces
+(:class:`~repro.core.trace.BatchTrace`: stage timings, stage output
+sizes) and chunk traces (sizes, raw-fallback counts) into summaries —
+the consistent measurement plumbing a credible cross-codec comparison
+needs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-from repro.core.trace import BatchTrace, ChunkTrace, TraceCollector
+from repro.core.trace import BatchTrace, TraceCollector
 
 #: Number of identical runs whose median is reported (paper §4: five).
 DEFAULT_RUNS = 5
@@ -54,39 +55,26 @@ class StageTotals:
     out_bytes: int
 
 
-def stage_totals(
-    traces: Iterable[ChunkTrace],
-    batches: Iterable[BatchTrace] = (),
-) -> list[StageTotals]:
-    """Aggregate per-chunk and per-batch stage events in execution order.
+def stage_totals(batches: Iterable[BatchTrace]) -> list[StageTotals]:
+    """Aggregate the blocks' stage events per stage, in execution order.
 
-    Batched chunks carry empty ``stages`` tuples (their stage timings
-    live on the block's :class:`~repro.core.trace.BatchTrace`), so the
-    batch events are folded in alongside — one batch stage event counts
-    as ``n_chunks`` calls, keeping ``calls`` comparable across execution
-    modes.
+    One block stage event counts as the block's ``n_chunks`` calls, so
+    ``calls`` counts chunks whatever the block sizes.
     """
     order: list[str] = []
     calls: dict[str, int] = {}
     seconds: dict[str, float] = {}
     out_bytes: dict[str, int] = {}
-
-    def fold(event, n_calls: int) -> None:
-        if event.stage not in calls:
-            order.append(event.stage)
-            calls[event.stage] = 0
-            seconds[event.stage] = 0.0
-            out_bytes[event.stage] = 0
-        calls[event.stage] += n_calls
-        seconds[event.stage] += event.seconds
-        out_bytes[event.stage] += event.out_bytes
-
-    for trace in traces:
-        for event in trace.stages:
-            fold(event, 1)
     for batch in batches:
         for event in batch.stages:
-            fold(event, batch.n_chunks)
+            if event.stage not in calls:
+                order.append(event.stage)
+                calls[event.stage] = 0
+                seconds[event.stage] = 0.0
+                out_bytes[event.stage] = 0
+            calls[event.stage] += batch.n_chunks
+            seconds[event.stage] += event.seconds
+            out_bytes[event.stage] += event.out_bytes
     return [
         StageTotals(name, calls[name], seconds[name], out_bytes[name])
         for name in order
@@ -95,25 +83,24 @@ def stage_totals(
 
 @dataclass(frozen=True)
 class TraceSummary:
-    """One engine run, aggregated from its per-chunk traces."""
+    """One engine run, aggregated from its block and chunk traces."""
 
     direction: str
     policy: str
     workers: int
     n_chunks: int
+    n_blocks: int
     raw_chunks: int
     input_bytes: int
     payload_bytes: int
-    #: summed busy time across chunks (not wall clock: workers overlap).
-    chunk_seconds: float
+    #: summed busy time across blocks (not wall clock: workers overlap).
+    block_seconds: float
     stages: tuple[StageTotals, ...]
-    #: how many chunks ran inside batched blocks.
-    batched_chunks: int = 0
 
     def render(self) -> str:
         lines = [
             f"{self.direction} [{self.policy}, {self.workers} worker(s)]: "
-            f"{self.n_chunks} chunks ({self.batched_chunks} batched), "
+            f"{self.n_chunks} chunks in {self.n_blocks} block(s), "
             f"{self.raw_chunks} raw fallback(s), "
             f"{self.input_bytes} -> {self.payload_bytes} payload bytes"
         ]
@@ -126,17 +113,18 @@ class TraceSummary:
 
 
 def summarize_trace(collector: TraceCollector) -> TraceSummary:
-    """Fold a collector's chunk traces into one :class:`TraceSummary`."""
+    """Fold a collector's traces into one :class:`TraceSummary`."""
     chunks = collector.chunks
+    batches = collector.batches
     return TraceSummary(
         direction=collector.direction or "?",
         policy=collector.policy or "?",
         workers=collector.workers or 1,
         n_chunks=len(chunks),
+        n_blocks=len(batches),
         raw_chunks=collector.raw_chunks,
         input_bytes=sum(t.original_len for t in chunks),
         payload_bytes=sum(t.payload_len for t in chunks),
-        chunk_seconds=sum(t.seconds for t in chunks),
-        stages=tuple(stage_totals(chunks, collector.batches)),
-        batched_chunks=sum(1 for t in chunks if t.batched),
+        block_seconds=sum(b.seconds for b in batches),
+        stages=tuple(stage_totals(batches)),
     )

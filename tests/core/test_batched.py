@@ -1,12 +1,15 @@
-"""Batched (columnar) stage execution and the GIL-free process executor.
+"""Block (columnar) chunk execution and the GIL-free process executor.
 
-The batching contract is strict byte-identity: ``batch=True`` must
-produce the same container bytes as the per-chunk loop for every codec
-and every input geometry, and the process executor must honour the same
-contract plus serial error semantics (type, message, lowest failing
-chunk).  These tests sweep the geometry space — chunk counts 1/2/17, a
-ragged final chunk, empty input — and pin the batch fallback of stages
-without a 2D kernel to the per-chunk loop.
+The engine runs every chunk inside a block through the stages' batched
+kernels.  The contract is strict byte-identity: its containers must
+equal a reference built chunk by chunk from ``Pipeline.encode_chunk``
+for every codec and every input geometry, and must decode to what
+``Pipeline.decode_chunk`` recovers.  The process executor must honour
+the same contract plus serial error semantics (type, message, lowest
+failing chunk), on both the encode and the decode side.  These tests
+sweep the geometry space — chunk counts 1/2/17/29, a ragged final
+chunk, empty input — and pin the batch fallback of stages without a 2D
+kernel to the per-chunk loop.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from repro.core.executors import (
 )
 from repro.core.pipeline import Pipeline
 from repro.errors import ChecksumError, ReproError
-from repro.stages import ByteShuffle, XorDelta
+from repro.stages import ByteShuffle, DiffMS, XorDelta
 
 
 def _sample(rng, dtype, n) -> bytes:
@@ -50,6 +53,49 @@ def _geometry_bytes(codec, n_chunks: int, ragged: bool) -> int:
     return size
 
 
+def _reference_container(data: bytes, codec) -> bytes:
+    """The container ``compress_bytes(data, codec)`` must produce, built
+    chunk by chunk through ``Pipeline.encode_chunk`` (no block encoder,
+    no executor)."""
+    dtype_code = {4: fmt.DTYPE_F32, 8: fmt.DTYPE_F64}[codec.dtype.itemsize]
+    global_stage = codec.make_global_stage()
+    inter = data if global_stage is None else global_stage.encode(data)
+    pipeline = codec.make_pipeline()
+    payloads = [
+        pipeline.encode_chunk(inter[offset : offset + CHUNK_SIZE])
+        for offset in range(0, len(inter), CHUNK_SIZE)
+    ]
+    crc = fmt.checksum_of(data) if fmt.DEFAULT_CHECKSUM else None
+    blob = fmt.build_container(
+        codec_id=codec.codec_id, dtype_code=dtype_code,
+        original_len=len(data), intermediate_len=len(inter),
+        chunk_size=CHUNK_SIZE, chunk_payloads=payloads, checksum=crc,
+        chunk_crcs=fmt.DEFAULT_CHUNK_CHECKSUMS,
+    )
+    if fmt.raw_container_size(len(data), checksum=crc) < len(blob):
+        return fmt.build_raw_container(
+            codec_id=codec.codec_id, dtype_code=dtype_code,
+            data=data, checksum=crc,
+        )
+    return blob
+
+
+def _reference_decode(blob: bytes, codec) -> bytes:
+    """Decode ``blob`` chunk by chunk through ``Pipeline.decode_chunk``."""
+    info = fmt.inspect_container(blob)
+    if info.raw_fallback:
+        return blob[info.payload_offset :]
+    pipeline = codec.make_pipeline(info.fcm_restart)
+    offset = info.payload_offset
+    pieces = []
+    for size, length in zip(info.chunk_sizes, info.decoded_lengths()):
+        pieces.append(pipeline.decode_chunk(blob[offset : offset + size], length))
+        offset += size
+    inter = b"".join(pieces)
+    global_stage = codec.make_global_stage()
+    return inter if global_stage is None else global_stage.decode(inter)
+
+
 @pytest.mark.parametrize("name", sorted(CODECS))
 class TestBatchedByteIdentity:
     """The tentpole invariant, swept over the geometry space."""
@@ -62,35 +108,46 @@ class TestBatchedByteIdentity:
         codec = get_codec(name)
         size = _geometry_bytes(codec, n_chunks, ragged)
         data = _sample(rng, codec.dtype, size // codec.dtype.itemsize)
-        serial = compress_bytes(data, codec, batch=False)
-        batched = compress_bytes(data, codec, batch=True)
+        blob = compress_bytes(data, codec)
         # Golden equality via digest (exact bytes, reported compactly).
         assert (
-            hashlib.sha256(batched).hexdigest()
-            == hashlib.sha256(serial).hexdigest()
+            hashlib.sha256(blob).hexdigest()
+            == hashlib.sha256(_reference_container(data, codec)).hexdigest()
         ), (name, n_chunks, ragged)
         # The chunk count follows the *intermediate* buffer (a global
         # stage may expand it), but it always covers the input.
-        assert fmt.inspect_container(batched).n_chunks >= n_chunks
-        for batch in (True, False):
-            back, _ = decompress_bytes(batched, batch=batch)
-            assert back == data, (name, n_chunks, ragged, batch)
+        assert fmt.inspect_container(blob).n_chunks >= n_chunks
+        assert _reference_decode(blob, codec) == data
+        back, _ = decompress_bytes(blob)
+        assert back == data, (name, n_chunks, ragged)
 
     def test_empty_input(self, name, rng):
         codec = get_codec(name)
-        serial = compress_bytes(b"", codec, batch=False)
-        batched = compress_bytes(b"", codec, batch=True)
-        assert batched == serial
-        back, _ = decompress_bytes(batched, batch=True)
+        blob = compress_bytes(b"", codec)
+        assert blob == _reference_container(b"", codec)
+        assert _reference_decode(blob, codec) == b""
+        back, _ = decompress_bytes(blob)
         assert back == b""
 
-    def test_auto_batching_is_default(self, name, rng):
-        """``batch=None`` (the default) batches multi-chunk inputs."""
+    def test_auto_batching_is_default(self, name, rng, monkeypatch):
+        """A multi-chunk block runs as one batched pass each way."""
+        calls = []
+        for method in ("encode_chunk_batch", "decode_chunk_batch"):
+            original = getattr(Pipeline, method)
+
+            def spy(self, payloads, *args, _original=original, **kwargs):
+                calls.append(len(payloads))
+                return _original(self, payloads, *args, **kwargs)
+
+            monkeypatch.setattr(Pipeline, method, spy)
         codec = get_codec(name)
         data = _sample(rng, codec.dtype, 3 * CHUNK_SIZE // codec.dtype.itemsize)
-        assert compress_bytes(data, codec) == compress_bytes(
-            data, codec, batch=True
-        )
+        blob = compress_bytes(data, codec)
+        assert blob == _reference_container(data, codec)
+        n_chunks = fmt.inspect_container(blob).n_chunks
+        assert calls == [n_chunks]
+        assert decompress_bytes(blob)[0] == data
+        assert calls == [n_chunks, n_chunks]
 
 
 class TestBatchFallbackRegression:
@@ -182,9 +239,8 @@ class TestProcessExecutorIdentity:
         ])
         assert len(set(fmt.inspect_container(blob).chunk_codecs)) == 2
         with SharedMemoryProcessExecutor(2) as engine:
-            for batch in (True, False):
-                back, _ = decompress_bytes(blob, executor=engine, batch=batch)
-                assert back == a + b, batch
+            back, _ = decompress_bytes(blob, executor=engine)
+            assert back == a + b
 
     def test_closed_executor_rejects_work(self, rng):
         engine = SharedMemoryProcessExecutor(1)
@@ -239,28 +295,30 @@ class TestProcessErrorSemantics:
 
     def test_batched_blocks_report_serial_errors(self, container):
         bad = _corrupt_chunk(container, 2)
-        serial = self._error_of(bad, executor="serial", batch=False)
-        assert self._error_of(bad, executor="serial", batch=True) == serial
+        serial = self._error_of(bad, executor="serial")
+        assert serial[0] is ChecksumError
+        assert serial[1].startswith("chunk 2 (container bytes ")
         assert self._error_of(bad, executor="threaded", workers=3) == serial
+        assert self._error_of(bad, executor="static-blocks",
+                              workers=2) == serial
 
     def _salvage_everywhere(self, decode) -> dict:
-        """``decode(**kwargs)`` under every policy and batch setting."""
-        results = {}
+        """``decode(**kwargs)`` under every executor policy."""
         with SharedMemoryProcessExecutor(2) as engine:
-            for label, kwargs in (("serial", {"executor": "serial"}),
-                                  ("threaded", {"executor": "threaded",
-                                                "workers": 3}),
-                                  ("process", {"executor": engine})):
-                for batch in (True, False):
-                    results[label, batch] = decode(batch=batch, **kwargs)
-        return results
+            return {
+                label: decode(**kwargs)
+                for label, kwargs in (("serial", {"executor": "serial"}),
+                                      ("threaded", {"executor": "threaded",
+                                                    "workers": 3}),
+                                      ("process", {"executor": engine}))
+            }
 
     def test_salvage_works_under_process_executor(self, container, rng):
         bad = _corrupt_chunk(container, 2)
         results = self._salvage_everywhere(
             lambda **kw: decompress_bytes(bad, errors="salvage", **kw)
         )
-        data, info, report = results["serial", False]
+        data, info, report = results["serial"]
         for key, result in results.items():
             assert result == (data, info, report), key
         assert report.damaged_ranges  # chunk 2 was zero-filled
@@ -282,13 +340,14 @@ class TestProcessErrorSemantics:
                 bad, start, stop, errors="salvage", **kw
             )
         )
-        data, _, report = results["serial", False]
+        data, _, report = results["serial"]
         for key, result in results.items():
-            assert result == results["serial", False], key
+            assert result == results["serial"], key
         assert [f.index for f in report.failures] == [2]
         assert len(data) == stop - start
 
     def test_salvage_honours_batch(self, container, monkeypatch):
+        """Salvage decodes through the same blocks as a strict decode."""
         calls = []
         original = Pipeline.decode_chunk_batch
 
@@ -297,7 +356,44 @@ class TestProcessErrorSemantics:
             return original(self, payloads, *args, **kwargs)
 
         monkeypatch.setattr(Pipeline, "decode_chunk_batch", spy)
-        decompress_bytes(container, errors="salvage", batch=False)
-        assert calls == []
-        decompress_bytes(container, errors="salvage", batch=True)
-        assert calls == [fmt.inspect_container(container).n_chunks]
+        n_chunks = fmt.inspect_container(container).n_chunks
+        decompress_bytes(container, errors="salvage")
+        assert calls == [n_chunks]
+        calls.clear()
+        decompress_bytes(container, errors="salvage", executor="static-blocks",
+                         workers=2)
+        assert sorted(calls) == [n_chunks // 2, n_chunks - n_chunks // 2]
+
+
+class TestEncodeErrorSemantics:
+    """An encode failure raises the same exception under every policy."""
+
+    def test_same_exception_under_every_policy(self, rng, monkeypatch):
+        original = DiffMS.encode
+
+        def encode(self, data):
+            head = bytes(data[:8])
+            if head in (b"\x11" * 8, b"\x22" * 8):
+                raise ValueError(f"poisoned chunk starting {head[:1].hex()}")
+            return original(self, data)
+
+        def encode_batch(self, chunks):
+            raise ValueError("batch kernel failed")
+
+        # Patched before any pool exists: the "process" policy string
+        # builds its pool per call, so the workers fork with the patch.
+        monkeypatch.setattr(DiffMS, "encode", encode)
+        monkeypatch.setattr(DiffMS, "encode_batch", encode_batch)
+        codec = get_codec("spspeed")
+        data = bytearray(_sample(rng, codec.dtype, 8 * CHUNK_SIZE // 4))
+        data[3 * CHUNK_SIZE : 4 * CHUNK_SIZE] = b"\x11" * CHUNK_SIZE
+        data[6 * CHUNK_SIZE : 7 * CHUNK_SIZE] = b"\x22" * CHUNK_SIZE
+        seen = set()
+        for policy, workers in (("serial", 1), ("threaded", 3),
+                                ("static-blocks", 3), ("process", 2)):
+            with pytest.raises(Exception) as excinfo:
+                compress_bytes(bytes(data), codec, executor=policy,
+                               workers=workers)
+            seen.add((type(excinfo.value), str(excinfo.value)))
+        # The lowest failing chunk's own exception, unchanged.
+        assert seen == {(ValueError, "poisoned chunk starting 11")}

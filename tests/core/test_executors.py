@@ -10,6 +10,7 @@ fallback, and the per-chunk trace contents.
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from repro.core.executors import (
     resolve_executor,
     static_block_bounds,
 )
+from repro.core.pipeline import Pipeline
 from repro.core.plan import plan_decode, plan_encode
 from repro.core.trace import TraceCollector
 from repro.errors import CorruptDataError
@@ -175,16 +177,30 @@ class TestThreadLocality:
         results = ThreadedExecutor(8).run(200, make_worker)
         assert results == [i * i for i in range(200)]
 
-    def test_threaded_worker_assignment_recorded_in_trace(self, rng):
+    def test_threaded_worker_assignment_recorded_in_trace(self, rng,
+                                                         monkeypatch):
+        original = Pipeline.encode_chunk_batch
+
+        def slow(self, chunks, events=None):
+            # Sleeping releases the GIL, so every thread starts and claims
+            # a block before the first one could drain the worklist.
+            time.sleep(0.02)
+            return original(self, chunks, events)
+
+        monkeypatch.setattr(Pipeline, "encode_chunk_batch", slow)
         codec = get_codec("spspeed")
         data = _sample(rng, codec.dtype, 120_000)
         collector = TraceCollector()
-        # batch=False: this exercises the per-chunk worklist, where every
-        # chunk is its own claim (batched runs claim whole blocks).
         compress_bytes(data, codec, workers=4, executor="threaded",
-                       trace=collector, batch=False)
-        workers_seen = {t.worker for t in collector.chunks}
+                       trace=collector)
+        # One block per worker; each chunk carries its block's worker.
+        assert len(collector.batches) == 4
+        workers_seen = {b.worker for b in collector.batches}
         assert len(workers_seen) > 1  # the worklist actually fanned out
+        by_block = {b.start: b.worker for b in collector.batches}
+        for chunk in collector.chunks:
+            start = max(s for s in by_block if s <= chunk.index)
+            assert chunk.worker == by_block[start]
 
 
 class TestLazyRawFallback:
@@ -231,18 +247,21 @@ class TestTraceContents:
         codec = get_codec("dpratio")
         data = _sample(rng, codec.dtype, 30_000)
         collector = TraceCollector()
-        blob = compress_bytes(data, codec, trace=collector, batch=False)
+        blob = compress_bytes(data, codec, trace=collector)
         assert collector.direction == "compress"
         assert collector.policy == "serial"
         assert collector.n_chunks == len(fmt.inspect_container(blob).chunk_sizes)
         # DPratio: FCM is global, the chunked stages follow
         assert collector.global_stage is not None
         assert collector.global_stage.stage == "fcm"
+        # Serial: one block holds every chunk.
+        (block,) = collector.batches
+        assert (block.start, block.n_chunks) == (0, collector.n_chunks)
+        assert [e.stage for e in block.stages] == ["diffms", "raze", "rare"]
+        assert block.seconds >= 0
+        assert all(e.out_bytes >= 0 and e.seconds >= 0 for e in block.stages)
         for chunk in collector.chunks:
-            assert [e.stage for e in chunk.stages] == ["diffms", "raze", "rare"]
             assert chunk.payload_len >= 1
-            assert chunk.seconds >= 0
-            assert all(e.out_bytes >= 0 and e.seconds >= 0 for e in chunk.stages)
         # payloads in the trace sum to the container's chunk table
         assert (
             sum(t.payload_len for t in collector.chunks)

@@ -81,8 +81,7 @@ class TestBoundarySweep:
             last = (stop - 1) // CHUNK_SIZE if stop > start else first - 1
             expected = list(range(first, min(last, n_chunks - 1) + 1))
             collector = TraceCollector()
-            decompress_range_bytes(blob, start, stop, trace=collector,
-                                   batch=False)
+            decompress_range_bytes(blob, start, stop, trace=collector)
             assert collector.direction == "decompress-range"
             indices = [chunk.index for chunk in collector.chunks]
             assert indices == expected, f"{name}/{label}"
@@ -162,8 +161,7 @@ class TestSalvageLocality:
         assert got == data[start:stop]
         # And the trace proves the damaged chunk was never decoded.
         collector = TraceCollector()
-        decompress_range_bytes(damaged, start, stop, trace=collector,
-                               batch=False)
+        decompress_range_bytes(damaged, start, stop, trace=collector)
         assert [c.index for c in collector.chunks] == [2, 3]
         # Salvage agrees: nothing in the requested window is damaged.
         got, _, report = decompress_range_bytes(

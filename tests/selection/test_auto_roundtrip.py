@@ -100,18 +100,16 @@ class TestAutoExecutorIdentity:
     @pytest.mark.parametrize("executor", [
         "serial", "threaded", "static-blocks", "process",
     ])
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_byte_identical_across_executors(self, rng, executor, batch):
+    def test_byte_identical_across_executors(self, rng, executor):
         data = _mixed_f32(rng)
         reference = compress_bytes(data, get_codec("auto"), chunk_size=CHUNK,
                                    dtype_code=fmt.DTYPE_F32)
         blob = compress_bytes(data, get_codec("auto"), chunk_size=CHUNK,
                               dtype_code=fmt.DTYPE_F32, workers=3,
-                              executor=executor, batch=batch)
+                              executor=executor)
         assert hashlib.sha256(blob).hexdigest() == \
             hashlib.sha256(reference).hexdigest()
-        out, _ = decompress_bytes(blob, workers=3, executor=executor,
-                                  batch=batch)
+        out, _ = decompress_bytes(blob, workers=3, executor=executor)
         assert out == data
 
     def test_mixed_decode_under_process_executor(self, rng):
@@ -121,8 +119,7 @@ class TestAutoExecutorIdentity:
         data = _mixed_f64(rng)
         blob = compress_bytes(data, get_codec("auto"), chunk_size=CHUNK,
                               dtype_code=fmt.DTYPE_F64)
-        out, _ = decompress_bytes(blob, workers=2, executor="process",
-                                  batch=True)
+        out, _ = decompress_bytes(blob, workers=2, executor="process")
         assert out == data
 
 

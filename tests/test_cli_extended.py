@@ -48,6 +48,15 @@ class TestBenchMeasured:
         assert "raw fallback" in out
         assert "ms" in out and "B out" in out
 
+    def test_trace_prints_one_row_per_block(self, capsys):
+        # The selector codec: its traced compress used to crash.
+        assert main(["bench", "--trace", "--scale", "0.25", "--codec", "auto",
+                     "--policy", "serial"]) == 0
+        out = capsys.readouterr().out
+        assert "4 chunks in" in out and "block(s)" in out
+        # The block rows carry the per-stage ms/bytes pairs.
+        assert "diffms=" in out
+
     def test_single_executor_selection(self, capsys):
         assert main(["bench", "--codec", "spspeed", "--executor", "threaded",
                      "--workers", "2", "--scale", "0.05"]) == 0
