@@ -36,10 +36,18 @@ at a 32-bit boundary spans at most 62 bits) and ``width <= 33`` for
 gather for the spill lane — and its shift is made single and defined by
 pointing non-spilling values at the zero pad lane.
 
-All index/shift plans are cached per ``(count, width)`` and marked
-read-only, so the kernels are thread-safe and amortise to a handful of
-vector ops per call.  Offset computations use float64 division, which is
-exact for the operand ranges involved (total bit counts far below 2**52).
+Index/shift plans do not grow with the stream.  Each plan is built once
+per width (and window grain) for one *segment* of :data:`SEGMENT`
+values and marked read-only, so the kernels are thread-safe.  A call on
+``n <= SEGMENT`` values uses the plan's first entries; a longer stream
+is gathered one segment at a time with the same plan, shifted by the
+segment's base.  That is exact because every plan is periodic with a
+power-of-two period of at most 64 values (the point where value and
+window boundaries realign), which divides the segment: every segment
+starts on a whole window.  Cached bytes are bounded by the number of
+widths times one segment, whatever the counts seen.  Offset computations
+use float64 division, which is exact for the operand ranges involved
+(total bit counts far below 2**52).
 """
 
 from __future__ import annotations
@@ -60,13 +68,11 @@ _LITTLE = sys.byteorder == "little"
 _BE = {k: np.dtype(f">u{k}") for k in (1, 2, 4, 8)}
 _NATIVE = {32: np.dtype("u4"), 64: np.dtype("u8")}
 
-#: LRU bound shared by every module-level plan cache below.  The plans
-#: are keyed by ``(count, width)``, and a long-running ``fprz serve``
-#: process sees an unbounded stream of distinct shapes (every request
-#: geometry mints new keys) — the cap turns that into bounded memory at
-#: the cost of re-deriving a plan on eviction (a few vector ops).
-#: ``tests/bitpack/test_lanes_cache.py`` pins the bound.
-PLAN_CACHE_SIZE = 512
+#: Values per plan segment: a power of two, and a multiple of every
+#: plan's period (at most 64 values).  Plans hold one segment, so the
+#: caches below hold at most a few MiB with every width built
+#: (``tests/bitpack/test_lanes_cache.py`` pins the bound).
+SEGMENT = 4096
 
 
 def _freeze(arrays: tuple) -> tuple:
@@ -87,55 +93,75 @@ def _chain_rounds(width: int, win: int) -> int:
     return rounds
 
 
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _single_gather_pack_plan(n: int, width: int, win: int):
-    """Window origin value ``v0`` and in-value bit offset ``r0`` per window."""
-    n_win = -(-(n * width) // win)
-    bit0 = np.arange(n_win, dtype=np.float64) * float(win)
+def _window_plan(width: int, win: int) -> tuple[np.ndarray, np.ndarray]:
+    """Origin value ``v0`` and in-value bit offset ``r0`` of each ``win``-bit
+    window of one segment."""
+    bit0 = np.arange(SEGMENT * width // win, dtype=np.float64) * float(win)
     v0f = np.floor_divide(bit0, float(width))
-    v0 = v0f.astype(np.intp)
-    r0 = (bit0 - v0f * float(width)).astype(_U64)
-    return _freeze((v0, r0)) + (n_win,)
+    return v0f.astype(np.intp), (bit0 - v0f * float(width)).astype(_U64)
 
 
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _pair_pack_plan(n: int, width: int):
-    """Two-contributor plan for 32-bit windows with ``width >= 32``."""
-    n_win = -(-(n * width) // 32)
-    bit0 = np.arange(n_win, dtype=np.float64) * 32.0
-    v0f = np.floor_divide(bit0, float(width))
-    v0 = v0f.astype(np.intp)
-    r0 = (bit0 - v0f * float(width)).astype(_U64)
-    q = _U64(width) - r0
-    return _freeze((v0, v0 + 1, r0, q)) + (n_win,)
+@lru_cache(maxsize=None)
+def _single_gather_pack_plan(width: int, win: int):
+    """``(v0, r0)`` per window: the window is the top bits of ``chain[v0] << r0``."""
+    return _freeze(_window_plan(width, win))
 
 
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _boundary_unpack_plan(count: int, width: int, grain: int, idx_dtype: str):
+@lru_cache(maxsize=None)
+def _pair_pack_plan(width: int):
+    """``(v0, r0, q)`` for 32-bit windows with ``width >= 32``: the window
+    is ``(tv[v0] << r0) | (tv[v0 + 1] >> q)`` over top-aligned values."""
+    v0, r0 = _window_plan(width, 32)
+    return _freeze((v0, r0, _U64(width) - r0))
+
+
+@lru_cache(maxsize=None)
+def _boundary_unpack_plan(width: int, grain: int, idx_dtype: str):
     """Window index and in-window offset per value at ``grain``-bit boundaries."""
-    bitpos = np.arange(count, dtype=_U64) * _U64(width)
+    bitpos = np.arange(SEGMENT, dtype=_U64) * _U64(width)
     q0 = (bitpos // _U64(grain)).astype(np.intp)
     off = (bitpos % _U64(grain)).astype(np.dtype(idx_dtype))
     return _freeze((q0, off))
 
 
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _two_lane_unpack_plan(count: int, width: int):
+@lru_cache(maxsize=None)
+def _two_lane_unpack_plan(width: int):
     """Two-gather plan over 64-bit lanes (widths 34..63 of 64-bit words).
 
-    Values that do not spill past their base lane point their spill
-    gather at the zero pad lane (index ``m``), so the spill shift is a
-    single always-defined right shift (< 64) instead of a split pair.
+    Values that do not spill past their base lane aim their spill gather
+    at index ``-1``: the zero pad lane that ends every lane table (and
+    every segment view of it), so the spill shift is a single
+    always-defined right shift (< 64) instead of a split pair.
     """
-    need = (count * width + 7) // 8
-    m = -(-need // 8)
-    bitpos = np.arange(count, dtype=_U64) * _U64(width)
+    bitpos = np.arange(SEGMENT, dtype=_U64) * _U64(width)
     l0 = (bitpos // _U64(64)).astype(np.intp)
     off = (bitpos % _U64(64)).astype(_U64)
     spills = off > _U64(64 - width)
-    l1 = np.where(spills, l0 + 1, m)
+    l1 = np.where(spills, l0 + 1, -1)
     ts = np.where(spills, _U64(128 - width) - off, _U64(0))
     return _freeze((l0, l1, off, ts))
+
+
+def _gather_shift(table, index, shifts, n_out: int, table_step: int, shift):
+    """``shift(table[index], shifts)`` for ``n_out`` outputs, by segment.
+
+    ``index``/``shifts`` hold one segment's plan; segment ``s`` gathers
+    from ``table[s * table_step:]`` into outputs ``[s * seg, (s+1) * seg)``
+    (``seg = len(index)``), and the last one uses a prefix of the plan.
+    A negative index counts from the end of the whole table.
+    """
+    seg = len(index)
+    if n_out <= seg:
+        out = table[index[:n_out]]
+        shift(out, shifts[:n_out], out=out)
+        return out
+    out = np.empty(n_out, dtype=table.dtype)
+    for s, lo in enumerate(range(0, n_out, seg)):
+        part = out[lo : lo + seg]
+        k = len(part)
+        table[s * table_step :].take(index[:k], out=part, mode="wrap")
+        shift(part, shifts[:k], out=part)
+    return out
 
 
 def _extract_top(acc: np.ndarray, win: int, nbytes: int) -> bytes:
@@ -206,20 +232,19 @@ def pack_lanes(words: np.ndarray, width: int, word_bits: int) -> bytes:
             chain = tail
             step <<= 1
             span <<= 1
-        v0, r0, n_win = _single_gather_pack_plan(n, width, win)
-        acc = chain[v0]
-        np.left_shift(acc, r0, out=acc)
+        v0, r0 = _single_gather_pack_plan(width, win)
+        acc = _gather_shift(chain, v0, r0, -(-(n * width) // win), SEGMENT,
+                            np.left_shift)
         return _extract_top(acc, win, nbytes)
     # 50..63: 32-bit windows overlap at most two values.
-    v0, v1, r0, q, n_win = _pair_pack_plan(n, width)
+    v0, r0, q = _pair_pack_plan(width)
+    n_win = -(-(n * width) // 32)
     tvp = np.empty(n + 1, dtype=_U64)
     tvp[:n] = words
     np.left_shift(tvp[:n], _U64(64 - width), out=tvp[:n])
     tvp[n] = 0
-    acc = tvp[v0]
-    np.left_shift(acc, r0, out=acc)
-    spill = tvp[v1]
-    np.right_shift(spill, q, out=spill)
+    acc = _gather_shift(tvp, v0, r0, n_win, SEGMENT, np.left_shift)
+    spill = _gather_shift(tvp[1:], v0, q, n_win, SEGMENT, np.right_shift)
     np.bitwise_or(acc, spill, out=acc)
     return _extract_top(acc, 32, nbytes)
 
@@ -268,9 +293,9 @@ def unpack_lanes(raw: np.ndarray, count: int, width: int, word_bits: int) -> np.
     if word_bits == 32 and width <= 17:
         # 32-bit windows at 16-bit grain hold any value: off(<=15)+width<=32.
         windows = _window_table(raw, need, 2, _U32)
-        q0, off = _boundary_unpack_plan(count, width, 16, "u4")
-        vals = windows[q0]
-        np.left_shift(vals, off, out=vals)
+        q0, off = _boundary_unpack_plan(width, 16, "u4")
+        vals = _gather_shift(windows, q0, off, count, SEGMENT * width // 16,
+                             np.left_shift)
         np.right_shift(vals, _U32(32 - width), out=vals)
         return vals
     if word_bits == 32:
@@ -279,26 +304,25 @@ def unpack_lanes(raw: np.ndarray, count: int, width: int, word_bits: int) -> np.
         # bits; the final right shift reads that (strided) half and
         # lands in a fresh contiguous uint32 array.
         windows = _window_table(raw, need, 4, _U64)
-        q0, off = _boundary_unpack_plan(count, width, 32, "u8")
-        vals = windows[q0]
-        np.left_shift(vals, off, out=vals)
+        q0, off = _boundary_unpack_plan(width, 32, "u8")
+        vals = _gather_shift(windows, q0, off, count, SEGMENT * width // 32,
+                             np.left_shift)
         top = vals.view(_U32)[1::2] if _LITTLE else vals.view(_U32)[0::2]
         return top >> _U32(32 - width)
     if width <= 33:
         # 64-bit windows at 32-bit grain hold any value: off(<=31)+width<=64.
         windows = _window_table(raw, need, 4, _U64)
-        q0, off = _boundary_unpack_plan(count, width, 32, "u8")
-        vals = windows[q0]
-        np.left_shift(vals, off, out=vals)
+        q0, off = _boundary_unpack_plan(width, 32, "u8")
+        vals = _gather_shift(windows, q0, off, count, SEGMENT * width // 32,
+                             np.left_shift)
         np.right_shift(vals, _U64(64 - width), out=vals)
         return vals
     # 34..63: base lane + spill lane (non-spilling values read the pad lane).
     lanes = _window_table(raw, need, 8, _U64, extra=1)
-    l0, l1, off, ts = _two_lane_unpack_plan(count, width)
-    vals = lanes[l0]
-    np.left_shift(vals, off, out=vals)
+    l0, l1, off, ts = _two_lane_unpack_plan(width)
+    step = SEGMENT * width // 64
+    vals = _gather_shift(lanes, l0, off, count, step, np.left_shift)
     np.right_shift(vals, _U64(64 - width), out=vals)
-    spill = lanes[l1]
-    np.right_shift(spill, ts, out=spill)
+    spill = _gather_shift(lanes, l1, ts, count, step, np.right_shift)
     np.bitwise_or(vals, spill, out=vals)
     return vals

@@ -42,15 +42,18 @@ def zigzag_encode(words: np.ndarray, word_bits: int) -> np.ndarray:
     """
     _check_words(words, word_bits)
     signed = words.view(_SIGNED_FOR_BITS[word_bits])
-    sign_fill = (signed >> (word_bits - 1)).view(words.dtype)
-    return (words << 1) ^ sign_fill
+    out = (signed >> (word_bits - 1)).view(words.dtype)
+    out ^= words << words.dtype.type(1)
+    return out
 
 
 def zigzag_decode(words: np.ndarray, word_bits: int) -> np.ndarray:
     """Inverse of :func:`zigzag_encode`."""
     _check_words(words, word_bits)
     one = words.dtype.type(1)
-    sign = words & one
-    # -(ms & 1) as an unsigned all-ones/all-zeros mask.
-    mask = (-sign.view(_SIGNED_FOR_BITS[word_bits])).view(words.dtype)
-    return (words >> 1) ^ mask
+    # -(ms & 1) as an unsigned all-ones/all-zeros mask, built in place
+    # (large batches pay page faults for every fresh temporary).
+    out = words & one
+    np.negative(out, out=out)
+    out ^= words >> one
+    return out

@@ -201,7 +201,13 @@ class SerialExecutor(Executor):
 
 
 class ThreadedExecutor(Executor):
-    """Dynamic worklist: free threads pop the next unclaimed chunk index."""
+    """Dynamic worklist: free threads pop the next unclaimed job index.
+
+    A run with no more jobs than threads (the engine's one block per
+    worker) gives thread ``w`` job ``w``: through the shared counter, the
+    thread started first could claim several blocks before the others
+    had started, and the run would lose its parallelism.
+    """
 
     policy = "threaded"
 
@@ -209,6 +215,9 @@ class ThreadedExecutor(Executor):
         n_threads = min(self.workers, n_jobs)
         if n_threads <= 1:
             return SerialExecutor.run(self, n_jobs, make_worker)
+        if n_jobs == n_threads:
+            return _run_threads(n_jobs, n_threads, make_worker,
+                                lambda worker_id: range(worker_id, worker_id + 1))
         counter = itertools.count()
 
         def claims(_worker_id: int):

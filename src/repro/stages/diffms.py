@@ -48,6 +48,12 @@ class DiffMS(Stage):
         return words_to_bytes(words, tail)
 
     # -- batched execution ------------------------------------------------
+    #
+    # A 16-chunk block is 256 KiB per array, above the allocator's mmap
+    # threshold: every fresh temporary of that size can cost a round of
+    # page faults that outweighs the arithmetic.  So the batch kernels
+    # reuse their arrays in place and hand out each row's bytes directly
+    # instead of slicing one joined copy.
 
     def encode_batch(self, chunks: list) -> list[bytes]:
         out: list[bytes | None] = [None] * len(chunks)
@@ -59,13 +65,13 @@ class DiffMS(Stage):
             words = stack_rows(chunks, indices, length).view(
                 np.dtype(f"<u{self.word_bits // 8}")
             )
-            prev = np.empty_like(words)
-            prev[:, 0] = 0
-            prev[:, 1:] = words[:, :-1]
-            coded = zigzag_encode(words - prev, self.word_bits)
-            blob = coded.tobytes()
+            # Row-wise difference, first word kept (as if 0 preceded it).
+            diff = np.empty_like(words)
+            diff[:, 0] = words[:, 0]
+            np.subtract(words[:, 1:], words[:, :-1], out=diff[:, 1:])
+            coded = zigzag_encode(diff, self.word_bits)
             for row, i in enumerate(indices):
-                out[i] = blob[row * length : (row + 1) * length]
+                out[i] = coded[row].tobytes()
         return out
 
     def decode_batch(self, payloads: list) -> list[bytes]:
@@ -79,8 +85,8 @@ class DiffMS(Stage):
                 np.dtype(f"<u{self.word_bits // 8}")
             )
             diff = zigzag_decode(coded, self.word_bits)
-            words = np.cumsum(diff, axis=1, dtype=diff.dtype)
-            blob = words.tobytes()
+            # The running sum inverts difference coding (wraps mod 2^w).
+            np.cumsum(diff, axis=1, dtype=diff.dtype, out=diff)
             for row, i in enumerate(indices):
-                out[i] = blob[row * length : (row + 1) * length]
+                out[i] = diff[row].tobytes()
         return out

@@ -12,9 +12,18 @@ conversion is applied first.  The conversion is meaningless semantically
 but fast, reversible, and often produces a few leading zeros where there
 were none.  One flag bit per subchunk records whether it was applied.
 
-Subchunk payload layout: one header byte per subchunk — bit 7 is the
-magnitude-sign flag, bits 0-6 hold the kept bit width (0..word_bits) —
-followed by the packed values.
+Payload layout: ``u32`` word count, ``u8`` tail length, the tail bytes
+(input bytes past the last whole word), then one entry per subchunk —
+a header byte (bit 7 is the magnitude-sign flag, bits 0-6 hold the kept
+bit width, 0..word_bits) followed by the packed values.
+
+Execution is one block kernel per direction, whatever the block size (a
+per-chunk call is a block of one).  Whole subchunks pack to whole bytes,
+so subchunks that share a width (encode) or a header byte (decode) are
+packed or unpacked together in one kernel call, across every chunk of the
+block.  Only a ragged final subchunk runs on its own.  The per-subchunk
+loop is kept as the reference (``_force_serial``), and it is the only
+path for subchunk sizes whose payloads are not whole bytes.
 """
 
 from __future__ import annotations
@@ -28,27 +37,20 @@ from repro.bitpack import (
     pack_words,
     packed_size_bytes,
     unpack_words,
-    words_from_bytes,
     words_to_bytes,
     zigzag_decode,
     zigzag_encode,
 )
 from repro.errors import CorruptDataError
 from repro.stages import ByteLike, Stage
-from repro.stages._batch import length_groups, stack_rows
-from repro.stages._frame import Reader, Writer
 
 SUBCHUNK_BYTES = 512
 
 _FLAG_MS = 0x80
 _WIDTH_MASK = 0x7F
 
-#: Smallest same-geometry group worth routing through ``_decode_rows``.
-#: Its header walk runs ``n_per`` numpy steps over *group-sized* arrays,
-#: so tiny groups pay the vector overhead without the amortisation —
-#: measured break-even on 16 KiB chunks is ~20 members (the encode side
-#: has no such walk and wins from 4 members on, so it stays ungated).
-_MIN_DECODE_GROUP = 24
+#: Word count and tail length that open every payload.
+_PREFIX = struct.Struct("<IB")
 
 
 class MPLG(Stage):
@@ -64,298 +66,247 @@ class MPLG(Stage):
         self.word_bits = word_bits
         self.subchunk_bytes = subchunk_bytes
         self._words_per_subchunk = subchunk_bytes // (word_bits // 8)
-        # Batching requires whole-byte subchunk payloads (step % 8 == 0 words
-        # ⟹ no pad bits ⟹ same-width payloads concatenate seamlessly).
-        # Tests flip _force_serial to pin batched/serial byte-identity.
+        self._dtype = np.dtype(f"<u{word_bits // 8}")
+        # The block kernels need whole-byte subchunk payloads (step % 8 == 0
+        # words ⟹ no pad bits ⟹ same-width payloads concatenate seamlessly).
+        # Tests flip _force_serial to pin block/serial byte-identity.
         self._force_serial = self._words_per_subchunk % 8 != 0
 
+    # The four entry points share the block kernels; a per-chunk call is
+    # a block of one, and never re-enters the (separately traced) batch
+    # methods.
     def encode(self, data: ByteLike) -> bytes:
-        words, tail = words_from_bytes(data, self.word_bits)
-        writer = Writer()
-        writer.u32(len(words))
-        writer.u8(len(tail))
-        writer.raw(tail)
-        step = self._words_per_subchunk
-        n_full = len(words) // step
-        if self._force_serial or n_full == 0:
-            for start in range(0, len(words), step):
-                self._encode_subchunk(words[start : start + step], writer)
-            return writer.getvalue()
-        self._encode_batched(words, n_full, writer)
-        for start in range(n_full * step, len(words), step):
-            self._encode_subchunk(words[start : start + step], writer)
-        return writer.getvalue()
+        return self._encode_block([data])[0]
 
-    def _encode_batched(self, words: np.ndarray, n_full: int, writer: Writer) -> None:
-        """Encode all full subchunks with one width/flag/pack pass per group.
+    def decode(self, data: ByteLike) -> bytes:
+        return self._decode_block([data])[0]
 
-        Byte-identical to the per-subchunk loop: widths and magnitude-sign
-        flags are computed for every subchunk at once, then subchunks are
-        grouped by width and each group packed in a single kernel call
-        (valid because full subchunk payloads are whole bytes).
-        """
-        step = self._words_per_subchunk
-        body = words[: n_full * step].reshape(n_full, step)
-        maxima = body.max(axis=1)
-        clz = count_leading_zeros(maxima, self.word_bits)
-        widths = (np.uint8(self.word_bits) - clz).astype(np.intp)
-        flags = np.zeros(n_full, dtype=np.uint8)
-        needs_ms = clz == 0
-        if needs_ms.any():
-            converted = zigzag_encode(body[needs_ms].reshape(-1), self.word_bits)
-            converted = converted.reshape(-1, step)
-            body = body.copy()
-            body[needs_ms] = converted
-            clz_ms = count_leading_zeros(converted.max(axis=1), self.word_bits)
-            widths[needs_ms] = self.word_bits - clz_ms
-            flags[needs_ms] = _FLAG_MS
-        payload_size = widths * (step // 8)
-        offsets = {}
-        blobs = {}
-        for w in np.unique(widths):
-            members = np.flatnonzero(widths == w)
-            blobs[int(w)] = pack_words(body[members].reshape(-1), int(w), self.word_bits)
-            for rank, idx in enumerate(members):
-                offsets[int(idx)] = rank * int(payload_size[idx])
-        for i in range(n_full):
-            w = int(widths[i])
-            writer.u8(int(flags[i]) | w)
-            off = offsets[i]
-            writer.raw(blobs[w][off : off + int(payload_size[i])])
+    def encode_batch(self, chunks: list) -> list[bytes]:
+        return self._encode_block(chunks)
 
-    def _encode_subchunk(self, sub: np.ndarray, writer: Writer) -> None:
+    def decode_batch(self, payloads: list) -> list[bytes]:
+        return self._decode_block(payloads)
+
+    # -- per-subchunk reference -------------------------------------------
+
+    def _encode_subchunk(self, sub: np.ndarray) -> bytes:
         flag = 0
         leading = int(count_leading_zeros(sub.max(keepdims=True), self.word_bits)[0])
         if leading == 0:
-            converted = zigzag_encode(sub, self.word_bits)
-            leading = int(count_leading_zeros(converted.max(keepdims=True), self.word_bits)[0])
-            sub = converted
+            sub = zigzag_encode(sub, self.word_bits)
+            leading = int(count_leading_zeros(sub.max(keepdims=True), self.word_bits)[0])
             flag = _FLAG_MS
         width = self.word_bits - leading
-        writer.u8(flag | width)
-        writer.raw(pack_words(sub, width, self.word_bits))
+        return bytes([flag | width]) + pack_words(sub, width, self.word_bits)
 
-    def decode(self, data: ByteLike) -> bytes:
-        reader = Reader(data)
-        n_words = reader.u32()
-        tail = reader.raw(reader.u8())
-        dtype = np.dtype(f"<u{self.word_bits // 8}")
-        out = np.empty(n_words, dtype=dtype)
+    def _decode_subchunk(self, buf: bytes, pos: int, end: int, count: int):
+        """Decode the ``count``-word subchunk at ``buf[pos:end]``; returns
+        the words and the position after the subchunk."""
+        if pos >= end:
+            raise CorruptDataError("truncated MPLG subchunk header")
+        header = buf[pos]
+        width = header & _WIDTH_MASK
+        if width > self.word_bits:
+            raise CorruptDataError(f"MPLG width {width} exceeds word size")
+        stop = pos + 1 + packed_size_bytes(count, width)
+        if stop > end:
+            raise CorruptDataError("truncated MPLG subchunk payload")
+        vals = unpack_words(buf[pos + 1 : stop], count, width, self.word_bits)
+        if header & _FLAG_MS:
+            vals = zigzag_decode(vals, self.word_bits)
+        return vals, stop
+
+    def _encode_serial(self, data: ByteLike) -> bytes:
+        raw = np.frombuffer(data, dtype=np.uint8)
+        n_words = len(raw) // self._dtype.itemsize
+        body = raw[: n_words * self._dtype.itemsize].view(self._dtype)
+        tail = raw[n_words * self._dtype.itemsize :].tobytes()
         step = self._words_per_subchunk
-        n_full = 0 if self._force_serial else n_words // step
-        if n_full:
-            self._decode_batched(reader, out, n_full)
-        for start in range(n_full * step, n_words, step):
-            count = min(step, n_words - start)
-            header = reader.u8()
-            width = header & _WIDTH_MASK
-            if width > self.word_bits:
-                raise CorruptDataError(f"MPLG width {width} exceeds word size")
-            payload = reader.raw(packed_size_bytes(count, width))
-            sub = unpack_words(payload, count, width, self.word_bits)
-            if header & _FLAG_MS:
-                sub = zigzag_decode(sub, self.word_bits)
-            out[start : start + count] = sub
-        reader.expect_exhausted()
-        return words_to_bytes(out, tail)
+        parts = [_PREFIX.pack(n_words, len(tail)), tail]
+        for start in range(0, n_words, step):
+            sub = body[start : start + step].astype(self._dtype.newbyteorder("="))
+            parts.append(self._encode_subchunk(sub))
+        return b"".join(parts)
 
-    # -- batched (cross-chunk) execution ----------------------------------
+    def _decode_serial(self, data: ByteLike) -> bytes:
+        buf = bytes(data)
+        n_words, tail, pos = _prefix(buf, 0, len(buf))
+        step = self._words_per_subchunk
+        words = []
+        for start in range(0, n_words, step):
+            vals, pos = self._decode_subchunk(buf, pos, len(buf), min(step, n_words - start))
+            words.append(vals)
+        if pos != len(buf):
+            raise CorruptDataError("unexpected trailing bytes in MPLG payload")
+        return words_to_bytes(np.concatenate(words) if words else np.empty(0, self._dtype), tail)
 
-    def encode_batch(self, chunks: list) -> list[bytes]:
-        """Width-group the full subchunks of *all* equal-length chunks.
+    # -- block kernels ----------------------------------------------------
 
-        The within-chunk batching of :meth:`_encode_batched` extends
-        across the batch: one maxima/CLZ/width pass over every subchunk
-        and one ``pack_words`` call per *global* width group.  Byte
-        identity holds for the same reason as within a chunk — full
-        subchunk payloads are whole bytes, so same-width payloads
-        concatenate seamlessly regardless of which chunk they came from.
+    def _encode_block(self, chunks: list) -> list[bytes]:
+        """Encode every chunk of a block with one pack call per width.
+
+        Widths and magnitude-sign flags are computed for every whole
+        subchunk of the block at once; each width group is packed in one
+        call and written to its members' wire positions with one row-wise
+        assignment through a sliding-window view of the output.
         """
-        out: list[bytes | None] = [None] * len(chunks)
-        word_bytes = self.word_bits // 8
-        step = self._words_per_subchunk
-        for length, indices in length_groups(chunks).items():
-            n_words = length // word_bytes
-            if (
-                len(indices) < 2
-                or self._force_serial
-                or length == 0
-                or length % word_bytes
-                or n_words % step
-            ):
-                for i in indices:
-                    out[i] = self.encode(chunks[i])
-                continue
-            rows = stack_rows(chunks, indices, length).view(
-                np.dtype(f"<u{word_bytes}")
-            )
-            for row, payload in enumerate(self._encode_rows(rows, n_words)):
-                out[indices[row]] = payload
-        return out
-
-    def _encode_rows(self, rows: np.ndarray, n_words: int) -> list[bytes]:
+        if self._force_serial:
+            return [self._encode_serial(chunk) for chunk in chunks]
         wb = self.word_bits
         step = self._words_per_subchunk
-        n_per = n_words // step
-        n_chunks = len(rows)
-        subs = rows.reshape(n_chunks * n_per, step)
-        maxima = subs.max(axis=1)
-        clz = count_leading_zeros(maxima, wb)
+        sub_bytes = step // 8
+        itemsize = self._dtype.itemsize
+        raws = [np.frombuffer(chunk, dtype=np.uint8) for chunk in chunks]
+        n_words = [len(raw) // itemsize for raw in raws]
+        n_full = [n // step for n in n_words]
+        # One fresh (subchunks, step) grid: magnitude-sign rows are
+        # patched in place without touching the caller's buffers.
+        subs = np.empty((sum(n_full), step), dtype=self._dtype)
+        row = 0
+        for raw, k in zip(raws, n_full):
+            subs[row : row + k] = raw[: k * step * itemsize].view(self._dtype).reshape(k, step)
+            row += k
+        clz = count_leading_zeros(subs.max(axis=1), wb)
         widths = (np.uint8(wb) - clz).astype(np.intp)
         flags = np.zeros(len(subs), dtype=np.uint8)
         needs_ms = clz == 0
         if needs_ms.any():
-            converted = zigzag_encode(subs[needs_ms].reshape(-1), wb)
-            converted = converted.reshape(-1, step)
-            # ``rows`` is the fresh buffer stack_rows built for this call,
-            # so the magnitude-sign rows can be patched in place.
+            converted = zigzag_encode(subs[needs_ms].reshape(-1), wb).reshape(-1, step)
             subs[needs_ms] = converted
-            clz_ms = count_leading_zeros(converted.max(axis=1), wb)
-            widths[needs_ms] = wb - clz_ms
+            widths[needs_ms] = wb - count_leading_zeros(converted.max(axis=1), wb)
             flags[needs_ms] = _FLAG_MS
-        sub_bytes = step // 8
-        blobs: dict[int, tuple[np.ndarray, bytes]] = {}
-        for w in np.unique(widths):
-            members = np.flatnonzero(widths == w)
-            blobs[int(w)] = (
-                members,
-                pack_words(subs[members].reshape(-1), int(w), wb),
-            )
-        # Assemble every chunk payload with one scatter pass per width
-        # group: compute the wire position of each subchunk, write the
-        # shared prefix and all header bytes at once, then fancy-index
-        # each group's packed bytes to their interleaved destinations
-        # (a group blob holds its members in subchunk-index order, the
-        # same order ``flatnonzero`` yields).
+        # Per chunk: the prefix and tail, the whole subchunks, then the
+        # ragged final subchunk (encoded on its own).
+        heads, rests = [], []
+        for raw, n, k in zip(raws, n_words, n_full):
+            tail = raw[n * itemsize :].tobytes()
+            heads.append(_PREFIX.pack(n, len(tail)) + tail)
+            rest = raw[k * step * itemsize : n * itemsize].view(self._dtype)
+            rests.append(self._encode_subchunk(rest.astype(subs.dtype)) if len(rest) else b"")
         sizes = 1 + widths * sub_bytes
-        per_chunk = sizes.reshape(n_chunks, n_per)
-        chunk_sizes = 5 + per_chunk.sum(axis=1)
-        chunk_ends = np.cumsum(chunk_sizes)
-        chunk_starts = chunk_ends - chunk_sizes
-        within = np.cumsum(per_chunk, axis=1) - per_chunk
-        header_pos = (chunk_starts[:, None] + 5 + within).reshape(-1)
-        out = np.empty(int(chunk_ends[-1]), dtype=np.uint8)
-        prefix = np.frombuffer(struct.pack("<IB", n_words, 0), dtype=np.uint8)
-        out[chunk_starts[:, None] + np.arange(5)] = prefix
+        ends = np.concatenate(([0], np.cumsum(sizes)))
+        row_starts = np.cumsum([0] + n_full)
+        body_sizes = ends[row_starts[1:]] - ends[row_starts[:-1]]
+        chunk_sizes = [len(h) + int(b) + len(r) for h, b, r in zip(heads, body_sizes, rests)]
+        chunk_starts = np.cumsum([0] + chunk_sizes)
+        out = np.empty(int(chunk_starts[-1]), dtype=np.uint8)
+        body_starts = []
+        for c, (head, rest) in enumerate(zip(heads, rests)):
+            start = int(chunk_starts[c])
+            body_start = start + len(head)
+            out[start:body_start] = np.frombuffer(head, dtype=np.uint8)
+            out[int(chunk_starts[c + 1]) - len(rest) : int(chunk_starts[c + 1])] = (
+                np.frombuffer(rest, dtype=np.uint8)
+            )
+            body_starts.append(body_start - int(ends[row_starts[c]]))
+        header_pos = ends[:-1] + np.repeat(body_starts, n_full)
         out[header_pos] = flags | widths.astype(np.uint8)
-        for w, (members, blob) in blobs.items():
-            size = w * sub_bytes
+        for width, members in _groups(widths):
+            size = width * sub_bytes
             if not size:
                 continue
-            dest = (header_pos[members] + 1)[:, None] + np.arange(size)
-            out[dest.reshape(-1)] = np.frombuffer(blob, dtype=np.uint8)
-        wire = out.tobytes()
+            packed = pack_words(subs[members].reshape(-1), width, wb)
+            _windows(out, size)[header_pos[members] + 1] = (
+                np.frombuffer(packed, dtype=np.uint8).reshape(-1, size)
+            )
         return [
-            wire[chunk_starts[c] : chunk_ends[c]] for c in range(n_chunks)
+            out[chunk_starts[c] : chunk_starts[c + 1]].tobytes() for c in range(len(chunks))
         ]
 
-    def decode_batch(self, payloads: list) -> list[bytes]:
-        out: list[bytes | None] = [None] * len(payloads)
-        step = self._words_per_subchunk
-        # MPLG payload lengths vary with the data (per-subchunk widths),
-        # so group on the *decoded* geometry — every whole-subchunk
-        # payload with the same word count batches together, whatever
-        # its byte length.  The flat-buffer walk in ``_decode_rows``
-        # handles ragged member lengths natively.
-        eligible: dict[int, list[int]] = {}
-        if not self._force_serial:
-            for i, payload in enumerate(payloads):
-                if len(payload) < 5:
-                    continue
-                n_words, tail_len = struct.unpack_from("<IB", payload, 0)
-                if tail_len == 0 and n_words and n_words % step == 0:
-                    eligible.setdefault(n_words, []).append(i)
-        for n_words, members in list(eligible.items()):
-            if len(members) < _MIN_DECODE_GROUP:
-                del eligible[n_words]
-        batched = {i for members in eligible.values() for i in members}
-        for i in range(len(payloads)):
-            if i not in batched:
-                out[i] = self.decode(payloads[i])
-        for n_words, members in eligible.items():
-            bufs = [payloads[i] for i in members]
-            for row, chunk in enumerate(self._decode_rows(bufs, n_words)):
-                out[members[row]] = chunk
-        return out
+    def _decode_block(self, payloads: list) -> list[bytes]:
+        """Decode every payload of a block with one unpack call per header byte.
 
-    def _decode_rows(self, bufs: list, n_words: int) -> list[bytes]:
+        One walk over the joined payloads visits every whole-subchunk
+        header (each payload length depends on its width, so the walk is
+        sequential).  Subchunks sharing a header byte are then gathered,
+        unpacked (and magnitude-sign decoded) together, and scattered back
+        to their rows.  Any structural fault raises
+        :class:`CorruptDataError`; a fault in one payload may surface as
+        a different message than its own decode gives, and the engine
+        re-runs a failing block per chunk for attribution.
+        """
+        if self._force_serial:
+            return [self._decode_serial(payload) for payload in payloads]
         wb = self.word_bits
         step = self._words_per_subchunk
         sub_bytes = step // 8
-        n_chunks = len(bufs)
-        n_per = n_words // step
-        lengths = np.array([len(b) for b in bufs], dtype=np.int64)
-        flat = np.frombuffer(b"".join(bytes(b) for b in bufs), dtype=np.uint8)
-        ends = np.cumsum(lengths)
-        base = ends - lengths
-        pos = base + 5
-        sub_width = np.empty((n_chunks, n_per), dtype=np.int64)
-        sub_flag = np.empty((n_chunks, n_per), dtype=bool)
-        sub_off = np.empty((n_chunks, n_per), dtype=np.int64)
-        for j in range(n_per):
-            if np.any(pos >= ends):
-                # A read past a member's end would bleed into the next
-                # member's bytes without this guard (the serial Reader
-                # raises here too; the engine re-runs the block serially
-                # for exact attribution).
+        flat = b"".join(payloads)
+        header_pos: list[int] = []
+        chunks = []  # per payload: (whole subchunks, ragged final words, tail)
+        end = 0
+        for payload in payloads:
+            base, end = end, end + memoryview(payload).nbytes
+            n_words, tail, pos = _prefix(flat, base, end)
+            n_full, ragged = divmod(n_words, step)
+            if pos + n_full > end:
+                raise CorruptDataError("truncated MPLG payload: too few subchunk headers")
+            try:
+                for _ in range(n_full):
+                    width = flat[pos] & _WIDTH_MASK
+                    if width > wb:
+                        raise CorruptDataError(f"MPLG width {width} exceeds word size")
+                    header_pos.append(pos)
+                    pos += 1 + width * sub_bytes
+            except IndexError:
+                raise CorruptDataError("truncated MPLG subchunk payload") from None
+            if pos > end:
                 raise CorruptDataError("truncated MPLG subchunk payload")
-            header = flat[pos]
-            widths_j = (header & _WIDTH_MASK).astype(np.int64)
-            if np.any(widths_j > wb):
-                raise CorruptDataError(f"MPLG width exceeds word size {wb}")
-            sizes_j = widths_j * sub_bytes
-            if np.any(pos + 1 + sizes_j > ends):
-                raise CorruptDataError("truncated MPLG subchunk payload")
-            sub_width[:, j] = widths_j
-            sub_flag[:, j] = (header & _FLAG_MS) != 0
-            sub_off[:, j] = pos + 1
-            pos += 1 + sizes_j
-        if np.any(pos != ends):
-            raise CorruptDataError("unexpected trailing bytes in MPLG payload")
-        dtype = np.dtype(f"<u{wb // 8}")
-        words = np.empty((n_chunks, n_per, step), dtype=dtype)
-        key = (sub_width << 1) | sub_flag
-        for packed_key in np.unique(key):
-            width = int(packed_key) >> 1
-            flagged = bool(int(packed_key) & 1)
-            rows_idx, cols_idx = np.nonzero(key == packed_key)
-            size = width * sub_bytes
-            if size:
-                starts = sub_off[rows_idx, cols_idx]
-                gathered = flat[(starts[:, None] + np.arange(size)).reshape(-1)]
-                vals = unpack_words(gathered, len(rows_idx) * step, width, wb)
-            else:
-                vals = np.zeros(len(rows_idx) * step, dtype=dtype)
-            if flagged:
-                vals = zigzag_decode(vals, wb)
-            words[rows_idx, cols_idx] = vals.reshape(len(rows_idx), step)
-        blob = words.reshape(n_chunks, -1).tobytes()
-        out_len = n_words * (wb // 8)
-        return [blob[c * out_len : (c + 1) * out_len] for c in range(n_chunks)]
+            extra = np.empty(0, dtype=self._dtype)
+            if ragged:
+                extra, pos = self._decode_subchunk(flat, pos, end, ragged)
+            if pos != end:
+                raise CorruptDataError("unexpected trailing bytes in MPLG payload")
+            chunks.append((n_full, extra, tail))
+        rows = np.empty((len(header_pos), step), dtype=self._dtype)
+        if header_pos:
+            data = np.frombuffer(flat, dtype=np.uint8)
+            starts = np.array(header_pos, dtype=np.intp)
+            headers = data[starts]
+            starts += 1
+            for header, members in _groups(headers):
+                size = (header & _WIDTH_MASK) * sub_bytes
+                packed = _windows(data, size)[starts[members]] if size else data[:0]
+                vals = unpack_words(packed.reshape(-1), len(members) * step,
+                                    header & _WIDTH_MASK, wb)
+                if header & _FLAG_MS:
+                    vals = zigzag_decode(vals, wb)
+                rows[members] = vals.reshape(-1, step)
+        out = []
+        row = 0
+        for n_full, extra, tail in chunks:
+            chunk = rows[row : row + n_full].tobytes()
+            row += n_full
+            if len(extra) or tail:
+                chunk += words_to_bytes(extra, tail)
+            out.append(chunk)
+        return out
 
-    def _decode_batched(self, reader: Reader, out: np.ndarray, n_full: int) -> None:
-        """Decode all full subchunks with one unpack call per width group.
 
-        Headers are still walked sequentially (each payload length depends
-        on its width, and corrupt-width errors must surface in stream
-        order), but the per-subchunk unpack/zigzag work is grouped by
-        (width, flag) and done in one vector call per group.
-        """
-        step = self._words_per_subchunk
-        groups: dict[tuple[int, int], tuple[list[int], list[ByteLike]]] = {}
-        for i in range(n_full):
-            header = reader.u8()
-            width = header & _WIDTH_MASK
-            if width > self.word_bits:
-                raise CorruptDataError(f"MPLG width {width} exceeds word size")
-            payload = reader.raw(step * width // 8)
-            indices, payloads = groups.setdefault((width, header & _FLAG_MS), ([], []))
-            indices.append(i)
-            payloads.append(payload)
-        body = out[: n_full * step].reshape(n_full, step)
-        for (width, flag), (indices, payloads) in groups.items():
-            joined = b"".join(bytes(p) for p in payloads)
-            vals = unpack_words(joined, len(indices) * step, width, self.word_bits)
-            if flag:
-                vals = zigzag_decode(vals, self.word_bits)
-            body[np.asarray(indices, dtype=np.intp)] = vals.reshape(len(indices), step)
+def _groups(keys: np.ndarray):
+    """Yield ``(key, positions)`` for each distinct key of ``keys``."""
+    if not len(keys):
+        return
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    bounds = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), len(order)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        members = order[lo:hi]
+        yield int(keys[members[0]]), members
+
+
+def _windows(buf: np.ndarray, size: int) -> np.ndarray:
+    """Overlapping view whose row ``i`` is ``buf[i : i + size]``."""
+    return np.ndarray((len(buf) - size + 1, size), dtype=np.uint8, buffer=buf,
+                      strides=(1, 1))
+
+
+def _prefix(buf: bytes, base: int, end: int) -> tuple[int, bytes, int]:
+    """Word count, tail bytes and first-subchunk position of the payload
+    at ``buf[base:end]``."""
+    if end - base < _PREFIX.size:
+        raise CorruptDataError("truncated MPLG payload header")
+    n_words, tail_len = _PREFIX.unpack_from(buf, base)
+    pos = base + _PREFIX.size + tail_len
+    if pos > end:
+        raise CorruptDataError("truncated MPLG payload tail")
+    return n_words, buf[base + _PREFIX.size : pos], pos

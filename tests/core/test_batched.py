@@ -100,8 +100,8 @@ def _reference_decode(blob: bytes, codec) -> bytes:
 class TestBatchedByteIdentity:
     """The tentpole invariant, swept over the geometry space."""
 
-    # 29 sits above MPLG's _MIN_DECODE_GROUP so the sweep also covers
-    # the grouped decode kernels, not just their small-batch fallback.
+    # Every block size runs the same MPLG block kernel (a one-chunk
+    # block included); 29 chunks spans more than one 16-chunk corpus file.
     @pytest.mark.parametrize("n_chunks", [1, 2, 17, 29])
     @pytest.mark.parametrize("ragged", [False, True])
     def test_batched_matches_serial_loop(self, name, n_chunks, ragged, rng):
